@@ -20,7 +20,7 @@ precision survives any consumer.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -66,6 +66,7 @@ def _decode(value):
 
 def emit_json(report: Report) -> str:
     """Serialize a report; numbers become decimal strings."""
+    import json  # here, not at the top: most CLI processes never touch JSON
     payload = {
         "claim": report.claim,
         "params": _encode(report.params),
@@ -80,6 +81,7 @@ def emit_json(report: Report) -> str:
 
 def report_from_json(text: str) -> Report:
     """Inverse of emit_json up to int/Fraction equivalence of values."""
+    import json
     payload = json.loads(text)
     steps = [
         Step(s["description"], _decode(s["values"])) for s in payload["steps"]
@@ -236,6 +238,7 @@ def _cmd_table(args):
     return report, "\n".join(lines)
 
 
+@functools.cache  # one parser per process, however often run() is called
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetk",

@@ -28,6 +28,41 @@ class NotInvertibleError(ArithmeticError):
     """Raised when a series inverse does not exist over the integers."""
 
 
+class Record:
+    """Immutable value with positional fields named by ``__slots__``, equal
+    only to a record of the same class with equal fields.  A subclass's
+    ``__init__`` takes its fields in slot order; unpickling calls it so."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} expects fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for any integer n.
 
@@ -42,7 +77,7 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
-class TruncPoly:
+class TruncPoly(Record):
     """Element of Z[t]/t^modulus_exponent with dense integer coefficients."""
 
     __slots__ = ("modulus_exponent", "coeffs")
@@ -58,9 +93,6 @@ class TruncPoly:
         coeffs = coeffs + (0,) * (modulus_exponent - len(coeffs))
         object.__setattr__(self, "modulus_exponent", modulus_exponent)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncPoly is immutable")
 
     @classmethod
     def zero(cls, modulus_exponent: int) -> "TruncPoly":
@@ -191,17 +223,7 @@ def format_poly_in(coeffs, var: str) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def trunc_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """Product in Z[t]/t^M; the moduli must agree."""
-    return a * b
-
-
-def trunc_inverse(a: TruncPoly) -> TruncPoly:
-    """Inverse in Z[t]/t^M; the constant term must be +1 or -1."""
-    return a.inverse()
-
-
-class LaurentPoly:
+class LaurentPoly(Record):
     """Laurent polynomial in one variable u over the rationals."""
 
     __slots__ = ("_coeffs",)
@@ -214,9 +236,6 @@ class LaurentPoly:
                 if c != 0:
                     clean[int(e)] = c
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -367,7 +386,10 @@ def laurent_from_string(text: str) -> LaurentPoly:
         m = _TERM_RE.match(term[1:])
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"malformed term {term!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {term!r} of {text!r}") from None
         if m.group("var"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:

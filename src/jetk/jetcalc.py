@@ -19,9 +19,7 @@ O(l-1)^(N+1), but Hom(O(l), O(l-1)) = H^0(O(-1)) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact_arith import binom
+from .exact_arith import Record, binom
 from .kring import KClass, LineBundleSum, class_of_twist, cohomology_dim, sum_to_class, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
@@ -34,22 +32,19 @@ class InapplicableError(ValueError):
     """Raised when an operation is asked outside its certified range."""
 
 
-@dataclass(frozen=True)
-class JetSpec:
+class JetSpec(Record):
     """Parameters of a jet-bundle query: J^order(O(twist)) on P^ambient_dim."""
 
-    ambient_dim: int
-    order: int
-    twist: int
-    side: str
+    __slots__ = ("ambient_dim", "order", "twist", "side")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, order: int, twist: int, side: str) -> None:
+        if ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("jet order must be at least 1")
-        if self.side not in SIDES:
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        if side not in SIDES:
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        super().__init__(ambient_dim, order, twist, side)
 
     def as_dict(self) -> dict:
         return {

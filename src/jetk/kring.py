@@ -21,10 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .exact_arith import TruncPoly, binom, format_poly_in
+from .exact_arith import Record, TruncPoly, binom, format_poly_in
 
 
-class KClass:
+class KClass(Record):
     """Class in K(P^N), held as a truncated polynomial in t."""
 
     __slots__ = ("ambient_dim", "value")
@@ -39,9 +39,6 @@ class KClass:
             )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KClass is immutable")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "KClass":
@@ -119,7 +116,7 @@ class KClass:
         return f"KClass(N={self.ambient_dim}, {self})"
 
 
-class LineBundleSum:
+class LineBundleSum(Record):
     """Formal integer combination of twists O(d) on P^N.
 
     Multiplicities may be negative (virtual classes); zero multiplicities
@@ -136,11 +133,7 @@ class LineBundleSum:
             for d, mult in terms.items():
                 if mult != 0:
                     clean[int(d)] = int(mult)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineBundleSum is immutable")
+        super().__init__(ambient_dim, clean)
 
     @classmethod
     def line(cls, ambient_dim: int, d: int, mult: int = 1) -> "LineBundleSum":

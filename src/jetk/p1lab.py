@@ -26,10 +26,9 @@ the degrees from exact global-section counts of twists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import LaurentPoly, laurent_from_string
+from .exact_arith import LaurentPoly, Record, laurent_from_string
 from .report import REFUTED, VERIFIED, Report, Step
 
 
@@ -37,16 +36,13 @@ class NotATransitionError(ValueError):
     """Raised when a matrix determinant is not a unit monomial."""
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Record):
     """Multiset of twist degrees of a bundle on the line, stored descending."""
 
-    degrees: tuple
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "degrees", tuple(sorted((int(d) for d in self.degrees), reverse=True))
-        )
+    def __init__(self, degrees) -> None:
+        super().__init__(tuple(sorted((int(d) for d in degrees), reverse=True)))
 
     @property
     def rank(self) -> int:
@@ -67,7 +63,7 @@ class SplittingType:
         return "{" + ", ".join(str(d) for d in sorted(self.degrees)) + "}"
 
 
-class LaurentMatrix:
+class LaurentMatrix(Record):
     """Square matrix of Laurent polynomials; a transition matrix when its
     determinant is a nonzero monomial."""
 
@@ -80,9 +76,6 @@ class LaurentMatrix:
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("entries must form a nonempty square grid")
         object.__setattr__(self, "_entries", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentMatrix is immutable")
 
     @staticmethod
     def _coerce(e) -> LaurentPoly:
@@ -399,11 +392,10 @@ def jet_transition(l: int, side: str) -> LaurentMatrix:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class CechOneForm:
+class CechOneForm(Record):
     """One-form w(u) du on the overlap U0 n U1, as a Cech 1-cochain."""
 
-    coefficient: LaurentPoly
+    __slots__ = ("coefficient",)
 
     @property
     def residue(self) -> Fraction:

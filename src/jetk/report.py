@@ -7,7 +7,7 @@ produced, so a failed check is self-diagnosing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .exact_arith import Record
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -16,25 +16,17 @@ INAPPLICABLE = "inapplicable"
 VERDICTS = (VERIFIED, REFUTED, INAPPLICABLE)
 
 
-@dataclass(frozen=True)
-class Step:
-    description: str
-    values: dict
+class Step(Record):
+    __slots__ = ("description", "values")
 
 
-@dataclass
-class Report:
-    claim: str
-    params: dict
-    verdict: str
-    steps: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("claim", "params", "verdict", "steps")
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-
-    def add_step(self, description: str, **values) -> None:
-        self.steps.append(Step(description, values))
+    def __init__(self, claim: str, params: dict, verdict: str, steps=()) -> None:
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        super().__init__(claim, params, verdict, tuple(steps))
 
     def step_values(self, fragment: str) -> dict:
         """Values of the first step whose description contains fragment."""

@@ -18,9 +18,8 @@ kept in the syntax so splitting queries can dispatch on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import jetcalc, kring
+from .exact_arith import Record
 from .kring import KClass, LineBundleSum
 
 
@@ -38,7 +37,7 @@ class ParseError(ValueError):
 
 
 class RangeError(ParseError):
-    """A structurally valid expression with an out-of-range parameter."""
+    """A structurally valid expression with an out-of-range parameter or depth."""
 
     def __init__(self, position: int, message: str):
         self.position = position
@@ -51,71 +50,59 @@ class EvaluationError(ValueError):
     """Evaluation failed; the message names the offending subexpression."""
 
 
-@dataclass(frozen=True)
-class Twist:
-    d: int
+class Twist(Record):
+    __slots__ = ("d",)
 
 
-@dataclass(frozen=True)
-class Omega:
-    pass
+class Omega(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Structure:
-    pass
+class Structure(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class Sum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class Tensor(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Dual:
-    arg: object
+class Dual(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Sym:
-    power: int
-    arg: object
+class Sym(Record):
+    __slots__ = ("power", "arg")
 
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, power: int, arg) -> None:
+        if power < 0:
             raise ValueError("Sym power must be nonnegative")
+        super().__init__(power, arg)
 
 
-@dataclass(frozen=True)
-class Wedge:
-    power: int
-    arg: object
+class Wedge(Record):
+    __slots__ = ("power", "arg")
 
-    def __post_init__(self):
-        if self.power < 0:
+    def __init__(self, power: int, arg) -> None:
+        if power < 0:
             raise ValueError("Wedge power must be nonnegative")
+        super().__init__(power, arg)
 
 
-@dataclass(frozen=True)
-class Jet:
-    order: int
-    arg: Twist
-    side: str
+class Jet(Record):
+    __slots__ = ("order", "arg", "side")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, arg: Twist, side: str) -> None:
+        if order < 1:
             raise ValueError("jet order must be at least 1")
-        if not isinstance(self.arg, Twist):
+        if not isinstance(arg, Twist):
             raise ValueError("jet argument must be a twist")
-        if self.side not in jetcalc.SIDES:
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        if side not in jetcalc.SIDES:
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        super().__init__(order, arg, side)
 
 
 _SYMBOLS = "()+*,-"
@@ -168,9 +155,15 @@ class _Tokenizer:
 _FACTOR_EXPECTED = {"'O'", "'Omega'", "'dual'", "'Sym'", "'Wedge'", "'J'", "'('"}
 
 
+# Deepest tree the parser builds.  Parsing, evaluating and comparing a tree
+# recurse per level, so this stays well below the recursion limit (1000).
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self):
         expr = self._expr()
@@ -179,18 +172,36 @@ class _Parser:
             raise ParseError(tok[2], {"'+'", "'*'", "end of input"}, repr(tok[1]))
         return expr
 
+    def _nest(self, position: int) -> None:
+        """Count one level of the tree being built: a group or a Sum/Tensor link."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise RangeError(position, f"expression nests deeper than {MAX_DEPTH} levels")
+
+    def _group(self, position: int):
+        """An expression one level down, up to its closing ')'."""
+        self._nest(position)
+        node = self._expr()
+        self.toks.expect(")", "')'")
+        self.depth -= 1
+        return node
+
     def _expr(self):
+        outer = self.depth
         node = self._term()
         while self.toks.peek()[0] == "+":
-            self.toks.advance()
+            self._nest(self.toks.advance()[2])
             node = Sum(node, self._term())
+        self.depth = outer
         return node
 
     def _term(self):
+        outer = self.depth
         node = self._factor()
         while self.toks.peek()[0] == "*":
-            self.toks.advance()
+            self._nest(self.toks.advance()[2])
             node = Tensor(node, self._factor())
+        self.depth = outer
         return node
 
     def _int(self) -> int:
@@ -210,10 +221,7 @@ class _Parser:
     def _factor(self):
         tok = self.toks.peek()
         if tok[0] == "(":
-            self.toks.advance()
-            node = self._expr()
-            self.toks.expect(")", "')'")
-            return node
+            return self._group(self.toks.advance()[2])
         if tok[0] != "word":
             raise ParseError(tok[2], _FACTOR_EXPECTED, repr(tok[1]) if tok[1] else "end of input")
         word = tok[1]
@@ -230,16 +238,11 @@ class _Parser:
             return Omega()
         if word == "dual":
             self.toks.advance()
-            self.toks.expect("(", "'('")
-            node = self._expr()
-            self.toks.expect(")", "')'")
-            return Dual(node)
+            return Dual(self._group(self.toks.expect("(", "'('")[2]))
         if word in ("Sym", "Wedge"):
             self.toks.advance()
             k, _ = self._nat("a power")
-            self.toks.expect("(", "'('")
-            node = self._expr()
-            self.toks.expect(")", "')'")
+            node = self._group(self.toks.expect("(", "'('")[2])
             return Sym(k, node) if word == "Sym" else Wedge(k, node)
         if word == "J":
             self.toks.advance()

@@ -1,9 +1,15 @@
 """Tests for the command-line surface and the JSON report codec."""
 
 import json
-
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import jetk
 from jetk.cli import _render_report, emit_json, report_from_json, run
 from jetk.exact_arith import binom
 from jetk.report import REFUTED, VERIFIED, Report, Step
@@ -30,6 +36,19 @@ def test_kclass_bad_expression_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "position 7" in err
+
+
+def test_deep_expressions_are_input_errors(capsys):
+    deep = [
+        "(" * 2000 + "O(1)" + ")" * 2000,
+        "dual(" * 400 + "O(1)" + ")" * 400,
+        " + ".join(["O(1)"] * 1500),
+    ]
+    for expr in deep:
+        assert run(["kclass", "-N", "1", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at position")
+        assert "Traceback" not in err
 
 
 def test_split_text_output(capsys):
@@ -120,6 +139,10 @@ def test_birkhoff_file_errors(tmp_path, capsys):
     nonunit.write_text("1 ; 0\n0 ; 1 + u\n", encoding="utf-8")
     assert run(["birkhoff", "--matrix", str(nonunit)]) == 2
     assert "transition" in capsys.readouterr().err
+    zero_denominator = tmp_path / "zero.txt"
+    zero_denominator.write_text("u ; 1/0\n0 ; 1\n", encoding="utf-8")
+    assert run(["birkhoff", "--matrix", str(zero_denominator)]) == 2
+    assert "zero denominator in term '+1/0'" in capsys.readouterr().err
 
 
 def test_table_text_sorted(capsys):
@@ -173,6 +196,35 @@ def test_json_report_round_trip():
     assert back.steps[0].values["list"] == [1, -2]
     assert back.steps[0].values["half"] == Fraction(1, 2)
     assert back.steps[1].values == {"ok": True, "note": "text stays text"}
+
+
+def test_report_is_a_checked_immutable_value():
+    with pytest.raises(ValueError):
+        Report("demo", {}, "bogus")
+    report = Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
+    assert report == Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
+    with pytest.raises(AttributeError, match="Report is immutable"):
+        report.verdict = REFUTED
+
+
+def test_import_loads_jetk_without_heavy_stdlib_modules():
+    probe = (
+        "import sys, jetk.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules)); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('jetk.'))))"
+    )
+    src = str(Path(jetk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    heavy, loaded = proc.stdout.split("\n")[:2]
+    assert heavy == ""
+    assert loaded.split() == [
+        "jetk.cli", "jetk.exact_arith", "jetk.jetcalc", "jetk.kring",
+        "jetk.p1lab", "jetk.report", "jetk.sheafdsl",
+    ]
 
 
 def test_json_preserves_arbitrary_precision():

@@ -1,6 +1,7 @@
 """Tests for binomials, truncated series, and Laurent polynomials."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -220,3 +221,15 @@ def test_laurent_text_rejects_malformed():
     for bad in ["", "u^", "3**u", "u + + u", "x^2", "u^2^3"]:
         with pytest.raises(ValueError):
             laurent_from_string(bad)
+
+
+def test_laurent_text_names_a_zero_denominator():
+    with pytest.raises(ValueError, match=r"zero denominator in term '\+3/0\*u\^2'"):
+        laurent_from_string("1 + 3/0*u^2")
+
+
+def test_polynomials_are_immutable_values():
+    for value, name in ((TruncPoly(2, (1, 1)), "coeffs"), (LaurentPoly({1: 2}), "_coeffs")):
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            setattr(value, name, ())
+        assert pickle.loads(pickle.dumps(value)) == value

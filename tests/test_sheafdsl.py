@@ -1,5 +1,7 @@
 """Tests for the sheaf-expression parser, printer, and evaluator."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from jetk.kring import KClass, class_of_twist, sum_to_class, sym_omega, sym_power
 from jetk.kring import LineBundleSum
 from jetk.sheafdsl import (
+    MAX_DEPTH,
     Dual,
     EvaluationError,
     Jet,
@@ -196,8 +199,39 @@ def test_node_constructors_validate():
     with pytest.raises(ValueError):
         Sym(-1, Twist(0))
     with pytest.raises(ValueError):
+        Wedge(-1, Twist(0))
+    with pytest.raises(ValueError):
         Jet(0, Twist(1), "left")
     with pytest.raises(ValueError):
         Jet(1, Omega(), "left")
     with pytest.raises(ValueError):
         Jet(1, Twist(1), "up")
+
+
+def test_nodes_are_immutable_values():
+    x, y = Twist(1), Omega()
+    assert Sum(x, y) != Tensor(x, y)
+    assert Omega() != Structure()
+    a, b = parse("Sym2(O(1) + O(2)) * dual(O(3))"), parse("Sym2(O(1)+O(2))*dual(O(3))")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    assert repr(Twist(3)) == "Twist(d=3)"
+    assert repr(Sum(Twist(1), Omega())) == "Sum(left=Twist(d=1), right=Omega())"
+    with pytest.raises(AttributeError, match="Twist is immutable"):
+        x.d = 2
+    assert x == Twist(1)
+
+
+def test_parse_depth_limit():
+    assert parse(" + ".join(["O(1)"] * (MAX_DEPTH + 1))) is not None
+    assert parse("(" * MAX_DEPTH + "O(1)" + ")" * MAX_DEPTH) == Twist(1)
+    with pytest.raises(RangeError) as info:
+        parse("(" * (MAX_DEPTH + 1) + "O(1)" + ")" * (MAX_DEPTH + 1))
+    assert info.value.position == MAX_DEPTH
+    with pytest.raises(RangeError):
+        parse("dual(" * (MAX_DEPTH + 1) + "O(1)" + ")" * (MAX_DEPTH + 1))
+    # a flat sum is a left-nested Sum chain, one level per '+'
+    with pytest.raises(RangeError) as info:
+        parse(" + ".join(["O(1)"] * (MAX_DEPTH + 2)))
+    assert info.value.position == (MAX_DEPTH + 1) * len("O(1) + ") - 2
