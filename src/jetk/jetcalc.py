@@ -182,13 +182,3 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
     verdict = VERIFIED if hom_dim == 0 else REFUTED
     return Report("jet-structures-non-isomorphic", params, verdict, steps)
 
-
-def connection_obstruction(N: int, l: int) -> bool:
-    """Whether O(l) on P^N admits no connection.
-
-    True exactly when l != 0: the obstruction is the Atiyah class of
-    O(l), which equals c_1(O(l)) = l up to the chosen sign.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    return l != 0

@@ -9,17 +9,19 @@ t = 1 - [O(-1)].  The two twist formulas are
 with i running from 0 to N; the branches are mutual inverses.  On P^1 the
 coordinates of a class are (rank, degree) in the basis {1, t}.
 
-Symmetric powers of the cotangent sheaf are obtained from the recursion
+Sym^k and Wedge^k of any sum of twists m_d O(d), virtual ones included, are
+the s^k coefficients of prod_d (1 - s O(d))^(-m_d) and prod_d (1 + s O(d))^(m_d).
+``sym_omega`` instead runs the recursion
 
     sum_{i<=k} [Sym^i Omega^1] = binom(N+k, N) * [O(-k)]
 
-induced by the Euler sequence 0 -> Omega^1 -> O(-1)^(N+1) -> O -> 0.
+induced by the Euler sequence 0 -> Omega^1 -> O(-1)^(N+1) -> O -> 0.  It
+shares no code with the series, so each checks the other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 
 from .exact_arith import Record, TruncPoly, binom, format_poly_in
 
@@ -151,9 +153,6 @@ class LineBundleSum(Record):
     def degree(self) -> int:
         return sum(d * m for d, m in self._terms.items())
 
-    def is_effective(self) -> bool:
-        return all(m > 0 for m in self._terms.values())
-
     def __add__(self, other):
         if not isinstance(other, LineBundleSum):
             return NotImplemented
@@ -176,15 +175,6 @@ class LineBundleSum(Record):
 
     def dual(self) -> "LineBundleSum":
         return LineBundleSum(self.ambient_dim, {-d: m for d, m in self._terms.items()})
-
-    def twists(self) -> list:
-        """Expand into a flat twist list; requires an effective sum."""
-        if not self.is_effective():
-            raise ValueError("sum has negative multiplicities")
-        out = []
-        for d in sorted(self._terms, reverse=True):
-            out.extend([d] * self._terms[d])
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, LineBundleSum):
@@ -218,10 +208,12 @@ def class_of_twist(N: int, d: int) -> KClass:
 
 def sum_to_class(s: LineBundleSum) -> KClass:
     """Evaluate a sum of twists to its class; additive and multiplicative."""
-    out = KClass.zero(s.ambient_dim)
-    for d, m in s.terms.items():
-        out = out + m * class_of_twist(s.ambient_dim, d)
-    return out
+    N = s.ambient_dim
+    coeffs = [0] * (N + 1)
+    for d, m in s._terms.items():
+        for i, c in enumerate(class_of_twist(N, d).coefficients()):
+            coeffs[i] += m * c
+    return KClass.from_coefficients(N, coeffs)
 
 
 def deg_rk(s: LineBundleSum) -> tuple:
@@ -236,28 +228,34 @@ def deg_rk(s: LineBundleSum) -> tuple:
     return (s.degree, s.rank)
 
 
-def sym_power(s: LineBundleSum, k: int) -> LineBundleSum:
-    """Sym^k of an effective sum: one O(sum of twists) per size-k multiset."""
+def _series_coefficient(s: LineBundleSum, k: int, sign: int) -> LineBundleSum:
+    """The s^k coefficient of prod_d (1 + sign*s*O(d))^(sign*m_d), whose
+    factors expand to sum_r sign^r * binom(sign*m_d, r) * s^r O(r*d)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    twists = s.twists()
-    out = {}
-    for chosen in combinations_with_replacement(twists, k):
-        d = sum(chosen)
-        out[d] = out.get(d, 0) + 1
-    return LineBundleSum(s.ambient_dim, out)
+    series = [{0: 1}] + [{}] * k
+    for d, m in s._terms.items():
+        factor = [sign**r * binom(sign * m, r) for r in range(k + 1)]
+        product = []
+        for j in range(k + 1):
+            out = {}
+            for r in range(j + 1):
+                if factor[r]:
+                    for e, n in series[j - r].items():
+                        out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
+            product.append(out)
+        series = product
+    return LineBundleSum(s.ambient_dim, series[k])
+
+
+def sym_power(s: LineBundleSum, k: int) -> LineBundleSum:
+    """Sym^k of any sum: the s^k coefficient of prod_d (1 - s O(d))^(-m_d)."""
+    return _series_coefficient(s, k, -1)
 
 
 def wedge_power(s: LineBundleSum, k: int) -> LineBundleSum:
-    """Wedge^k of an effective sum: one O(sum of twists) per size-k subset."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    twists = s.twists()
-    out = {}
-    for chosen in combinations(twists, k):
-        d = sum(chosen)
-        out[d] = out.get(d, 0) + 1
-    return LineBundleSum(s.ambient_dim, out)
+    """Wedge^k of any sum: the s^k coefficient of prod_d (1 + s O(d))^(m_d)."""
+    return _series_coefficient(s, k, 1)
 
 
 @lru_cache(maxsize=None)

@@ -392,25 +392,17 @@ def jet_transition(l: int, side: str) -> LaurentMatrix:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-class CechOneForm(Record):
-    """One-form w(u) du on the overlap U0 n U1, as a Cech 1-cochain."""
+def dlog_of_monomial(g: LaurentPoly) -> LaurentPoly:
+    """dlog(g) = g'/g for a monomial transition function g = c*u^e.
 
-    __slots__ = ("coefficient",)
-
-    @property
-    def residue(self) -> Fraction:
-        """The scalar of the class in H^1(P^1, Omega^1): the u^-1 coefficient."""
-        return self.coefficient.coefficient(-1)
-
-
-def dlog_of_monomial(g: LaurentPoly) -> CechOneForm:
-    """dlog(g) = g'/g du for a monomial transition function g = c*u^e."""
+    As a Cech one-form (g'/g) du on the overlap U0 n U1, its class in
+    H^1(P^1, Omega^1) is the u^-1 coefficient.
+    """
     if g.is_zero() or not g.is_monomial():
         raise ValueError(f"dlog needs a monomial transition, got {g}")
     e = g.min_degree
     c = g.coefficient(e)
-    inverse = LaurentPoly.monomial(-e, Fraction(1) / c)
-    return CechOneForm(g.derivative() * inverse)
+    return g.derivative() * LaurentPoly.monomial(-e, Fraction(1) / c)
 
 
 def atiyah_class_p1(l: int) -> Fraction:
@@ -419,7 +411,7 @@ def atiyah_class_p1(l: int) -> Fraction:
     Equals l under the declared sign convention; zero exactly at l = 0,
     and additive in l.
     """
-    return dlog_of_monomial(LaurentPoly.monomial(l)).residue
+    return dlog_of_monomial(LaurentPoly.monomial(l)).coefficient(-1)
 
 
 def verify_corr_p1(l: int) -> Report:

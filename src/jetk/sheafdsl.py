@@ -11,9 +11,11 @@ Grammar (whitespace insignificant, integers may be negative):
             | '(' expr ')'
 
 '+' is direct sum, '*' is tensor product; both parse left associated.
-A bare 'O' is the structure sheaf.  The jet argument is restricted to a
-single twist, and the jet side, while ignored by class evaluation, is
-kept in the syntax so splitting queries can dispatch on it.
+A bare 'O' is the structure sheaf.  The jet argument is a single twist;
+its side does not change the class, but splitting queries dispatch on it.
+Evaluation maps every node to a sum of twists, with Omega = (N+1) O(-1) - O
+by the Euler sequence, so every expression the grammar accepts has a class.
+Powers and jet orders are at most MAX_POWER.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class RangeError(ParseError):
         self.expected = frozenset()
         self.found = message
         ValueError.__init__(self, f"at position {position}: {message}")
-
-
-class EvaluationError(ValueError):
-    """Evaluation failed; the message names the offending subexpression."""
 
 
 class Twist(Record):
@@ -159,6 +157,10 @@ _FACTOR_EXPECTED = {"'O'", "'Omega'", "'dual'", "'Sym'", "'Wedge'", "'J'", "'('"
 # recurse per level, so this stays well below the recursion limit (1000).
 MAX_DEPTH = 100
 
+# Largest Sym/Wedge power and jet order.  The series behind them costs about
+# power^2 products of twist sums, so larger ones would not finish.
+MAX_POWER = 1000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -215,8 +217,12 @@ class _Parser:
         return -value if negative else value
 
     def _nat(self, what: str) -> tuple:
+        """A power or jet order, at most MAX_POWER, and its position."""
         tok = self.toks.expect("nat", what)
-        return int(tok[1]), tok[2]
+        value = int(tok[1])
+        if value > MAX_POWER:
+            raise RangeError(tok[2], f"{value} exceeds the limit of {MAX_POWER} for {what}")
+        return value, tok[2]
 
     def _factor(self):
         tok = self.toks.peek()
@@ -302,70 +308,33 @@ def print_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _as_split(e, N: int) -> LineBundleSum:
-    """Interpret the split fragment as an explicit sum of twists."""
+def _value(e, N: int) -> LineBundleSum:
+    """An expression as a formal sum of twists.  J^k(O(l)) telescopes to
+    sum_{i<=k} Sym^i Omega (x) O(l), which is Sym^k(Omega + O) (x) O(l)."""
     if isinstance(e, Twist):
         return LineBundleSum.line(N, e.d)
     if isinstance(e, Structure):
         return LineBundleSum.line(N, 0)
+    if isinstance(e, Omega):
+        return LineBundleSum(N, {-1: N + 1, 0: -1})
     if isinstance(e, Sum):
-        return _as_split(e.left, N) + _as_split(e.right, N)
+        return _value(e.left, N) + _value(e.right, N)
     if isinstance(e, Tensor):
-        return _as_split(e.left, N).tensor(_as_split(e.right, N))
+        return _value(e.left, N).tensor(_value(e.right, N))
     if isinstance(e, Dual):
-        return _as_split(e.arg, N).dual()
+        return _value(e.arg, N).dual()
     if isinstance(e, Sym):
-        return _split_power(kring.sym_power, e, N)
+        return kring.sym_power(_value(e.arg, N), e.power)
     if isinstance(e, Wedge):
-        return _split_power(kring.wedge_power, e, N)
-    raise EvaluationError(
-        f"subexpression {print_expr(e)!r} is not a sum of twists"
-    )
-
-
-def _split_power(op, e, N: int) -> LineBundleSum:
-    inner = _as_split(e.arg, N)
-    if not inner.is_effective():
-        raise EvaluationError(
-            f"subexpression {print_expr(e.arg)!r} has negative multiplicities; "
-            f"{type(e).__name__} needs an effective sum"
-        )
-    return op(inner, e.power)
+        return kring.wedge_power(_value(e.arg, N), e.power)
+    if isinstance(e, Jet):
+        omega_plus_one = _value(Omega(), N) + LineBundleSum.line(N, 0)
+        return kring.sym_power(omega_plus_one, e.order).tensor(_value(e.arg, N))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(e, N: int) -> KClass:
     """Evaluate an expression to its class in K(P^N)."""
     if N < 1:
         raise ValueError("N must be positive")
-    if isinstance(e, Twist):
-        return kring.class_of_twist(N, e.d)
-    if isinstance(e, Structure):
-        return KClass.one(N)
-    if isinstance(e, Omega):
-        return kring.sym_omega(N, 1)
-    if isinstance(e, Sum):
-        return evaluate(e.left, N) + evaluate(e.right, N)
-    if isinstance(e, Tensor):
-        return evaluate(e.left, N) * evaluate(e.right, N)
-    if isinstance(e, Dual):
-        return kring.sum_to_class(_as_split(e, N))
-    if isinstance(e, Sym):
-        if isinstance(e.arg, Omega):
-            return kring.sym_omega(N, e.power)
-        return kring.sum_to_class(_as_split(e, N))
-    if isinstance(e, Wedge):
-        if isinstance(e.arg, Omega):
-            if N >= 2:
-                raise EvaluationError(
-                    f"subexpression {print_expr(e)!r}: wedge powers of Omega "
-                    "are only supported on the line"
-                )
-            if e.power == 0:
-                return KClass.one(N)
-            if e.power == 1:
-                return kring.sym_omega(N, 1)
-            return KClass.zero(N)
-        return kring.sum_to_class(_as_split(e, N))
-    if isinstance(e, Jet):
-        return jetcalc.jet_class(jetcalc.JetSpec(N, e.order, e.arg.d, e.side))
-    raise TypeError(f"not an expression node: {e!r}")
+    return kring.sum_to_class(_value(e, N))

@@ -43,12 +43,18 @@ def test_deep_expressions_are_input_errors(capsys):
         "(" * 2000 + "O(1)" + ")" * 2000,
         "dual(" * 400 + "O(1)" + ")" * 400,
         " + ".join(["O(1)"] * 1500),
+        "Sym99999999999(O(1))",
+        "J1001(O(0), left)",
     ]
     for expr in deep:
         assert run(["kclass", "-N", "1", expr]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: at position")
         assert "Traceback" not in err
+    # the largest power and order still evaluate
+    assert run(["kclass", "-N", "3", "Sym1000(O(1) + O(2))"]) == 0
+    assert run(["kclass", "-N", "24", "J1000(O(0), left)"]) == 0
+    capsys.readouterr()
 
 
 def test_split_text_output(capsys):
@@ -265,3 +271,9 @@ def test_golden_verify_atiyah_json(capsys):
         "splittings_equal": False,
         "equivalence_holds": True,
     }
+
+
+def test_public_names_resolve():
+    assert len(set(jetk.__all__)) == len(jetk.__all__)
+    for name in jetk.__all__:
+        assert hasattr(jetk, name), name

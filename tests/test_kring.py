@@ -1,6 +1,7 @@
 """Tests for the exact K(P^N) coordinates and line-bundle combinatorics."""
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -141,12 +142,43 @@ def test_sym_wedge_ranks():
             assert wedge_power(s, k).rank == binom(r, k)
 
 
-def test_sym_wedge_require_effective():
-    virtual = LineBundleSum(2, {1: 2, 0: -1})
-    with pytest.raises(ValueError):
-        sym_power(virtual, 2)
-    with pytest.raises(ValueError):
-        wedge_power(virtual, 1)
+def _enumerated_power(s, k, wedge):
+    """Sym^k / Wedge^k of an effective sum, one O(degree sum) per size-k
+    multiset / subset of its twists: the reference for the series."""
+    twists = [d for d, m in s.terms.items() for _ in range(m)]
+    choose = combinations if wedge else combinations_with_replacement
+    out = {}
+    for chosen in choose(twists, k):
+        out[sum(chosen)] = out.get(sum(chosen), 0) + 1
+    return LineBundleSum(s.ambient_dim, out)
+
+
+def _random_sum(rng, N, low):
+    return LineBundleSum(
+        N, {rng.randint(-4, 4): rng.randint(low, 3) for _ in range(rng.randint(1, 4))}
+    )
+
+
+def test_series_matches_enumeration_on_effective_sums():
+    rng = random.Random(43)
+    for _ in range(40):
+        s = _random_sum(rng, rng.randint(1, 3), 1)
+        for k in range(0, 6):
+            assert sym_power(s, k) == _enumerated_power(s, k, wedge=False)
+            assert wedge_power(s, k) == _enumerated_power(s, k, wedge=True)
+
+
+def test_powers_of_virtual_sums_obey_addition_formula():
+    rng = random.Random(47)
+    for _ in range(30):
+        N = rng.randint(1, 3)
+        a, b = _random_sum(rng, N, -3), _random_sum(rng, N, -3)
+        for k in range(0, 5):
+            for power in (sym_power, wedge_power):
+                expected = LineBundleSum(N)
+                for i in range(k + 1):
+                    expected = expected + power(a, i).tensor(power(b, k - i))
+                assert power(a + b, k) == expected
 
 
 def test_sym_omega_base_cases():

@@ -6,12 +6,14 @@ import random
 
 import pytest
 
+from jetk.exact_arith import binom
+from jetk.jetcalc import JetSpec, jet_class
 from jetk.kring import KClass, class_of_twist, sum_to_class, sym_omega, sym_power
 from jetk.kring import LineBundleSum
 from jetk.sheafdsl import (
     MAX_DEPTH,
+    MAX_POWER,
     Dual,
-    EvaluationError,
     Jet,
     Omega,
     ParseError,
@@ -147,15 +149,46 @@ def test_evaluate_wedge_of_omega_on_line():
     assert evaluate(parse("Wedge2(Omega)"), 1) == KClass.zero(1)
 
 
-def test_evaluate_rejects_unsupported_targets():
-    with pytest.raises(EvaluationError, match="Omega"):
-        evaluate(parse("dual(Omega)"), 2)
-    with pytest.raises(EvaluationError, match="Omega"):
-        evaluate(parse("Wedge2(Omega)"), 2)
-    with pytest.raises(EvaluationError, match=r"J1"):
-        evaluate(parse("Sym2(J1(O(1), left))"), 2)
-    with pytest.raises(EvaluationError, match=r"J1"):
-        evaluate(parse("dual(J1(O(1), left))"), 1)
+def test_wedge_of_omega_is_koszul():
+    # 0 -> Omega^p -> Wedge^p O(-1)^(N+1) -> Omega^(p-1) -> 0, unrolled
+    for N in range(1, 6):
+        for p in range(0, N + 3):
+            koszul = KClass.zero(N)
+            for j in range(p + 1):
+                koszul = koszul + (-1) ** (p - j) * binom(N + 1, j) * class_of_twist(N, -j)
+            assert evaluate(parse(f"Wedge{p}(Omega)"), N) == koszul
+            if p > N:
+                assert koszul == KClass.zero(N)
+        assert evaluate(parse(f"Wedge{N}(Omega)"), N) == class_of_twist(N, -N - 1)
+
+
+def test_dual_of_omega_from_euler_sequence():
+    for N in range(1, 6):
+        assert evaluate(parse("dual(Omega)"), N) == (N + 1) * class_of_twist(N, 1) - 1
+
+
+def test_powers_of_first_order_left_jet():
+    # J^1(O(l)) is O(l-1)^(N+1) as a left module for l >= 1
+    for N in range(1, 4):
+        for l in range(1, 4):
+            for k in range(0, 5):
+                twist = class_of_twist(N, k * (l - 1))
+                sym = evaluate(parse(f"Sym{k}(J1(O({l}), left))"), N)
+                wedge = evaluate(parse(f"Wedge{k}(J1(O({l}), left))"), N)
+                assert sym == binom(N + k, k) * twist
+                assert wedge == binom(N + 1, k) * twist
+            dual = evaluate(parse(f"dual(J1(O({l}), left))"), N)
+            assert dual == (N + 1) * class_of_twist(N, 1 - l)
+
+
+def test_series_matches_euler_recursion():
+    for N in range(1, 6):
+        for k in range(0, 9):
+            assert evaluate(Sym(k, Omega()), N) == sym_omega(N, k)
+        for k in range(1, 7):
+            for l in range(-4, 5):
+                got = evaluate(parse(f"J{k}(O({l}), right)"), N)
+                assert got == jet_class(JetSpec(N, k, l, "left"))
 
 
 def _random_split_expr(rng, depth):
@@ -179,12 +212,13 @@ def _random_split_expr(rng, depth):
 
 def test_evaluate_is_ring_homomorphism_on_split_fragment():
     rng = random.Random(314)
-    for _ in range(30):
-        N = rng.randint(1, 4)
-        a = _random_split_expr(rng, rng.randint(0, 2))
-        b = _random_split_expr(rng, rng.randint(0, 2))
-        assert evaluate(Sum(a, b), N) == evaluate(a, N) + evaluate(b, N)
-        assert evaluate(Tensor(a, b), N) == evaluate(a, N) * evaluate(b, N)
+    for gen in (_random_split_expr, _random_expr):
+        for _ in range(30):
+            N = rng.randint(1, 4)
+            a = gen(rng, rng.randint(0, 2))
+            b = gen(rng, rng.randint(0, 2))
+            assert evaluate(Sum(a, b), N) == evaluate(a, N) + evaluate(b, N)
+            assert evaluate(Tensor(a, b), N) == evaluate(a, N) * evaluate(b, N)
 
 
 def test_evaluate_ignores_jet_side():
@@ -235,3 +269,10 @@ def test_parse_depth_limit():
     with pytest.raises(RangeError) as info:
         parse(" + ".join(["O(1)"] * (MAX_DEPTH + 2)))
     assert info.value.position == (MAX_DEPTH + 1) * len("O(1) + ") - 2
+    assert parse(f"Sym{MAX_POWER}(O(1))") == Sym(MAX_POWER, Twist(1))
+    for text, position in [(f"Wedge{MAX_POWER + 1}(O(1))", 5),
+                           (f"J{MAX_POWER + 1}(O(0), left)", 1),
+                           ("O(2) * Sym99999999999(O(1))", 10)]:
+        with pytest.raises(RangeError) as info:
+            parse(text)
+        assert info.value.position == position
