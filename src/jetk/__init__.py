@@ -1,33 +1,16 @@
-"""Exact calculator for K-classes and splitting types of jet bundles on P^N."""
+"""Exact calculator for K-classes and splitting types of jet bundles on P^N.
 
-from .exact_arith import LaurentPoly, NotInvertibleError, TruncPoly, binom
-from .jetcalc import (
-    InapplicableError,
-    JetSpec,
-    jet_class,
-    left_splitting_first_order,
-    prove_non_isomorphic,
-    right_decomposition_first_order,
-    verify_ktheory_equality,
-)
-from .kring import (
-    KClass,
-    LineBundleSum,
-    class_of_twist,
-    cohomology_dim,
-    deg_rk,
-    sum_to_class,
-    sym_omega,
-    sym_power,
-    wedge_power,
-)
+The package root exports the entry points behind each CLI subcommand and the
+types they return; a class in K(P^N) is a ``TruncPoly`` modulo t^(N+1).
+Everything else is importable from its own module.
+"""
+
+from .exact_arith import TruncPoly
+from .jetcalc import prove_non_isomorphic, verify_ktheory_equality
 from .p1lab import (
     LaurentMatrix,
-    NotATransitionError,
     SplittingType,
-    atiyah_class_p1,
     birkhoff_split,
-    h0_count,
     jet_transition,
     matrix_from_text,
     splitting_via_h0,
@@ -37,44 +20,9 @@ from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 from .sheafdsl import ParseError, RangeError, evaluate, parse, print_expr
 
 __all__ = [
-    "binom",
-    "TruncPoly",
-    "LaurentPoly",
-    "NotInvertibleError",
-    "KClass",
-    "LineBundleSum",
-    "class_of_twist",
-    "sum_to_class",
-    "deg_rk",
-    "sym_power",
-    "wedge_power",
-    "sym_omega",
-    "cohomology_dim",
-    "JetSpec",
-    "InapplicableError",
-    "jet_class",
-    "left_splitting_first_order",
-    "right_decomposition_first_order",
-    "verify_ktheory_equality",
-    "prove_non_isomorphic",
-    "LaurentMatrix",
-    "SplittingType",
-    "NotATransitionError",
-    "jet_transition",
-    "birkhoff_split",
-    "h0_count",
-    "splitting_via_h0",
-    "atiyah_class_p1",
-    "verify_corr_p1",
-    "matrix_from_text",
-    "Report",
-    "Step",
-    "VERIFIED",
-    "REFUTED",
-    "INAPPLICABLE",
-    "parse",
-    "print_expr",
-    "evaluate",
-    "ParseError",
-    "RangeError",
+    "parse", "evaluate", "print_expr", "ParseError", "RangeError", "TruncPoly",
+    "verify_ktheory_equality", "prove_non_isomorphic",
+    "verify_corr_p1", "jet_transition", "matrix_from_text", "birkhoff_split",
+    "splitting_via_h0", "SplittingType", "LaurentMatrix",
+    "Report", "Step", "VERIFIED", "REFUTED", "INAPPLICABLE",
 ]

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import jetcalc, kring, p1lab, sheafdsl
+from . import jetcalc, p1lab, sheafdsl
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
 _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
@@ -125,7 +125,7 @@ def _cmd_kclass(args):
         [
             Step(
                 f"class in the basis {{1, t, ..., t^{args.N}}}",
-                {"coefficients": list(value.coefficients()), "rendered": str(value)},
+                {"coefficients": list(value.coeffs), "rendered": str(value)},
             )
         ],
     )
@@ -224,7 +224,7 @@ def _cmd_table(args):
                     "l": l,
                     "left": list(left.degrees),
                     "right": list(right.degrees),
-                    "class": list(value.coefficients()),
+                    "class": list(value.coeffs),
                 },
             )
         )

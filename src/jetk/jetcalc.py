@@ -19,8 +19,8 @@ O(l-1)^(N+1), but Hom(O(l), O(l-1)) = H^0(O(-1)) = 0.
 
 from __future__ import annotations
 
-from .exact_arith import Record, binom
-from .kring import KClass, LineBundleSum, class_of_twist, cohomology_dim, sum_to_class, sym_omega
+from .exact_arith import Record, TruncPoly, binom
+from .kring import LineBundleSum, class_of_twist, cohomology_dim, sum_to_class, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
 LEFT = "left"
@@ -46,20 +46,12 @@ class JetSpec(Record):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         super().__init__(ambient_dim, order, twist, side)
 
-    def as_dict(self) -> dict:
-        return {
-            "N": self.ambient_dim,
-            "k": self.order,
-            "l": self.twist,
-            "side": self.side,
-        }
 
-
-def jet_class(spec: JetSpec) -> KClass:
+def jet_class(spec: JetSpec) -> TruncPoly:
     """[J^k(O(l))] on P^N; independent of the side."""
     N, k, l = spec.ambient_dim, spec.order, spec.twist
     twist_class = class_of_twist(N, l)
-    total = KClass.zero(N)
+    total = TruncPoly.zero(N + 1)
     for i in range(k + 1):
         total = total + sym_omega(N, i) * twist_class
     return total
@@ -102,13 +94,13 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
         Step(
             "telescoped class sum_{i<=k} [Sym^i Omega^1]*[O(l)] "
             "(both module structures)",
-            {"coefficients": list(telescoped.coefficients())},
+            {"coefficients": list(telescoped.coeffs)},
         ),
         Step(
             "closed form binom(N+k,N)*[O(l-k)]",
             {
                 "multiplicity": binom(N + k, N),
-                "coefficients": list(closed.coefficients()),
+                "coefficients": list(closed.coeffs),
             },
         ),
         Step(
@@ -158,7 +150,7 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         Step(
             "right structure contains O(l) as a direct summand "
             "(the jet projection is right split)",
-            {"free_summand_twist": l, "omega_part": list(right_omega.coefficients())},
+            {"free_summand_twist": l, "omega_part": list(right_omega.coeffs)},
         ),
         Step(
             "left structure splits as O(l-1)^(N+1)",
@@ -172,10 +164,8 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         Step(
             "class-level consistency: both structures have equal K-class",
             {
-                "left": list(sum_to_class(left_sum).coefficients()),
-                "right": list(
-                    (right_omega + sum_to_class(right_free)).coefficients()
-                ),
+                "left": list(sum_to_class(left_sum).coeffs),
+                "right": list((right_omega + sum_to_class(right_free)).coeffs),
             },
         ),
     ]

@@ -1,12 +1,12 @@
 """Grothendieck ring of projective space P^N in exact coordinates.
 
-A class is written in the basis {1, t, ..., t^N} of Z[t]/t^(N+1), where
-t = 1 - [O(-1)].  The two twist formulas are
+A class is a ``TruncPoly`` with modulus N+1: its coefficients are the
+coordinates in the basis {1, t, ..., t^N} of Z[t]/t^(N+1), where
+t = 1 - [O(-1)].  For every integer d
 
-    [O(d)]  = sum_i binom(d+i-1, i) t^i        (d > 0)
-    [O(-d)] = sum_i (-1)^i binom(d, i) t^i     (d >= 0, i.e. (1-t)^d)
+    [O(d)] = sum_i binom(d+i-1, i) t^i,    i = 0..N,
 
-with i running from 0 to N; the branches are mutual inverses.  On P^1 the
+with generalized binomials; for d <= 0 this is (1-t)^(-d).  On P^1 the
 coordinates of a class are (rank, degree) in the basis {1, t}.
 
 Sym^k and Wedge^k of any sum of twists m_d O(d), virtual ones included, are
@@ -23,99 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_arith import Record, TruncPoly, binom, format_poly_in
-
-
-class KClass(Record):
-    """Class in K(P^N), held as a truncated polynomial in t."""
-
-    __slots__ = ("ambient_dim", "value")
-
-    def __init__(self, ambient_dim: int, value: TruncPoly) -> None:
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
-        if value.modulus_exponent != ambient_dim + 1:
-            raise ValueError(
-                f"K(P^{ambient_dim}) needs modulus t^{ambient_dim + 1}, "
-                f"got t^{value.modulus_exponent}"
-            )
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "value", value)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "KClass":
-        return cls(ambient_dim, TruncPoly.zero(ambient_dim + 1))
-
-    @classmethod
-    def one(cls, ambient_dim: int) -> "KClass":
-        return cls(ambient_dim, TruncPoly.one(ambient_dim + 1))
-
-    @classmethod
-    def from_coefficients(cls, ambient_dim: int, coeffs) -> "KClass":
-        return cls(ambient_dim, TruncPoly(ambient_dim + 1, coeffs))
-
-    def coefficients(self) -> tuple:
-        return self.value.coeffs
-
-    @property
-    def rank(self) -> int:
-        """Virtual rank: the coefficient of t^0."""
-        return self.value.coeffs[0]
-
-    def _lift(self, other):
-        if isinstance(other, KClass):
-            if other.ambient_dim != self.ambient_dim:
-                raise ValueError("ambient dimensions differ")
-            return other
-        if isinstance(other, int):
-            return KClass(
-                self.ambient_dim, TruncPoly(self.ambient_dim + 1, (other,))
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KClass(self.ambient_dim, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KClass(self.ambient_dim, -self.value)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KClass(self.ambient_dim, self.value - other.value)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KClass(self.ambient_dim, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._lift(other)
-        if not isinstance(other, KClass):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.value))
-
-    def __str__(self):
-        return format_poly_in(self.value.coeffs, "t")
-
-    def __repr__(self):
-        return f"KClass(N={self.ambient_dim}, {self})"
+from .exact_arith import Record, TruncPoly, binom
 
 
 class LineBundleSum(Record):
@@ -197,23 +105,28 @@ class LineBundleSum(Record):
         return f"LineBundleSum(N={self.ambient_dim}, {self._terms})"
 
 
-def class_of_twist(N: int, d: int) -> KClass:
+def class_of_twist(N: int, d: int) -> TruncPoly:
     """The class of O(d) in K(P^N)."""
-    if d <= 0:
-        coeffs = [(-1) ** i * binom(-d, i) for i in range(N + 1)]
-    else:
-        coeffs = [binom(d + i - 1, i) for i in range(N + 1)]
-    return KClass.from_coefficients(N, coeffs)
+    return sum_to_class(LineBundleSum.line(N, d))
 
 
-def sum_to_class(s: LineBundleSum) -> KClass:
-    """Evaluate a sum of twists to its class; additive and multiplicative."""
+def sum_to_class(s: LineBundleSum) -> TruncPoly:
+    """Evaluate a sum of twists to its class; additive and multiplicative.
+
+    m O(d) adds c_i = m * binom(d+i-1, i) to the coefficient of t^i, by the
+    ratio c_i = c_{i-1} * (d+i-1) / i, which reaches 0 and stays there
+    exactly when d <= 0.
+    """
     N = s.ambient_dim
     coeffs = [0] * (N + 1)
-    for d, m in s._terms.items():
-        for i, c in enumerate(class_of_twist(N, d).coefficients()):
-            coeffs[i] += m * c
-    return KClass.from_coefficients(N, coeffs)
+    for d, c in s._terms.items():
+        coeffs[0] += c
+        for i in range(1, N + 1):
+            c = c * (d + i - 1) // i
+            if not c:
+                break
+            coeffs[i] += c
+    return TruncPoly(N + 1, coeffs)
 
 
 def deg_rk(s: LineBundleSum) -> tuple:
@@ -259,14 +172,14 @@ def wedge_power(s: LineBundleSum, k: int) -> LineBundleSum:
 
 
 @lru_cache(maxsize=None)
-def sym_omega(N: int, k: int) -> KClass:
+def sym_omega(N: int, k: int) -> TruncPoly:
     """The class of Sym^k Omega^1 on P^N via the Euler-sequence recursion."""
     if N < 1:
         raise ValueError("N must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return KClass.one(N)
+        return TruncPoly.one(N + 1)
     total = binom(N + k, N) * class_of_twist(N, -k)
     for i in range(k):
         total = total - sym_omega(N, i)

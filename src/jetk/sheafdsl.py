@@ -15,14 +15,17 @@ A bare 'O' is the structure sheaf.  The jet argument is a single twist;
 its side does not change the class, but splitting queries dispatch on it.
 Evaluation maps every node to a sum of twists, with Omega = (N+1) O(-1) - O
 by the Euler sequence, so every expression the grammar accepts has a class.
-Powers and jet orders are at most MAX_POWER.
+Powers and jet orders are at most MAX_POWER, and the parser predicts the
+work of the powers and products an expression asks for (see MAX_WORK).
 """
 
 from __future__ import annotations
 
+import math
+
 from . import jetcalc, kring
-from .exact_arith import Record
-from .kring import KClass, LineBundleSum
+from .exact_arith import Record, TruncPoly
+from .kring import LineBundleSum
 
 
 class ParseError(ValueError):
@@ -119,9 +122,9 @@ class _Tokenizer:
             elif ch in _SYMBOLS:
                 self.tokens.append((ch, ch, pos))
                 pos += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():  # int() converts these; isdigit() also takes '²'
                 start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
                 self.tokens.append(("nat", text[start:pos], start))
             elif ch.isalpha():
@@ -161,14 +164,31 @@ MAX_DEPTH = 100
 # power^2 products of twist sums, so larger ones would not finish.
 MAX_POWER = 1000
 
+# Most work an expression may predict, counted in products of a coefficient
+# with a term.  Sym^k or Wedge^k of n twists multiplies n factor series into
+# k+1 partial sums whose levels hold at most `held` twists: n * k^2 * held.
+# A tensor of n1 and n2 twists takes n1 * n2.  Sym1000(O(1) + O(2)) predicts
+# 2e6 and J1000(O(0), left) 1e6; a sum of five such powers runs in about 2 s
+# on a 2-vCPU machine.  A power of a power grows like k^5 in this count and
+# about k^4 in run time: Sym80(Sym80(O(1) + O(2))) predicts 3e9 and did not
+# finish in a minute.
+MAX_WORK = 10**7
+
+
+def _shape(lo: int, hi: int, n: int) -> tuple:
+    """What the parser predicts of a value: its twists lie in [lo, hi] and
+    number at most n."""
+    return lo, hi, min(n, hi - lo + 1)
+
 
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.depth = 0
+        self.work = 0
 
     def parse(self):
-        expr = self._expr()
+        expr, _ = self._expr()
         tok = self.toks.peek()
         if tok[0] != "end":
             raise ParseError(tok[2], {"'+'", "'*'", "end of input"}, repr(tok[1]))
@@ -180,51 +200,75 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise RangeError(position, f"expression nests deeper than {MAX_DEPTH} levels")
 
-    def _group(self, position: int):
+    def _charge(self, work: int, position: int) -> None:
+        self.work += work
+        if self.work > MAX_WORK:
+            raise RangeError(position, f"expression needs about {self.work} term "
+                                       f"products, over the budget of {MAX_WORK}")
+
+    def _power(self, shape: tuple, k: int, position: int) -> tuple:
+        """The shape of Sym^k or Wedge^k of a value of this shape; charges its series."""
+        lo, hi, n = shape
+        span = k * (hi - lo) + 1
+        held = 1 if n == 1 else min(math.comb(n + k - 2, k), span)
+        self._charge(n * k * k * held, position)
+        return _shape(k * lo, k * hi, math.comb(n + k - 1, k))
+
+    # Each of _group, _expr, _term and _factor returns (node, shape).
+
+    def _group(self, position: int) -> tuple:
         """An expression one level down, up to its closing ')'."""
         self._nest(position)
-        node = self._expr()
+        parsed = self._expr()
         self.toks.expect(")", "')'")
         self.depth -= 1
-        return node
+        return parsed
 
-    def _expr(self):
+    def _expr(self) -> tuple:
         outer = self.depth
-        node = self._term()
+        node, (lo, hi, n) = self._term()
         while self.toks.peek()[0] == "+":
             self._nest(self.toks.advance()[2])
-            node = Sum(node, self._term())
+            right, (lo2, hi2, n2) = self._term()
+            node, (lo, hi, n) = Sum(node, right), _shape(min(lo, lo2), max(hi, hi2), n + n2)
         self.depth = outer
-        return node
+        return node, (lo, hi, n)
 
-    def _term(self):
+    def _term(self) -> tuple:
         outer = self.depth
-        node = self._factor()
+        node, (lo, hi, n) = self._factor()
         while self.toks.peek()[0] == "*":
-            self._nest(self.toks.advance()[2])
-            node = Tensor(node, self._factor())
+            position = self.toks.advance()[2]
+            self._nest(position)
+            right, (lo2, hi2, n2) = self._factor()
+            self._charge(n * n2, position)
+            node, (lo, hi, n) = Tensor(node, right), _shape(lo + lo2, hi + hi2, n * n2)
         self.depth = outer
-        return node
+        return node, (lo, hi, n)
+
+    def _literal(self, what: str) -> tuple:
+        """A digit token as an int, and its position."""
+        tok = self.toks.expect("nat", what)
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:  # more digits than int() converts
+            raise RangeError(tok[2], f"{what} of {len(tok[1])} digits is too long") from None
 
     def _int(self) -> int:
-        tok = self.toks.peek()
-        negative = False
-        if tok[0] == "-":
+        negative = self.toks.peek()[0] == "-"
+        if negative:
             self.toks.advance()
-            negative = True
-        tok = self.toks.expect("nat", "an integer")
-        value = int(tok[1])
+        value, _ = self._literal("an integer")
         return -value if negative else value
 
     def _nat(self, what: str) -> tuple:
         """A power or jet order, at most MAX_POWER, and its position."""
-        tok = self.toks.expect("nat", what)
-        value = int(tok[1])
+        value, position = self._literal(what)
         if value > MAX_POWER:
-            raise RangeError(tok[2], f"{value} exceeds the limit of {MAX_POWER} for {what}")
-        return value, tok[2]
+            raise RangeError(position, f"{value} exceeds the limit of {MAX_POWER} for {what}")
+        return value, position
 
-    def _factor(self):
+    def _factor(self) -> tuple:
         tok = self.toks.peek()
         if tok[0] == "(":
             return self._group(self.toks.advance()[2])
@@ -237,19 +281,21 @@ class _Parser:
                 self.toks.advance()
                 d = self._int()
                 self.toks.expect(")", "')'")
-                return Twist(d)
-            return Structure()
+                return Twist(d), (d, d, 1)
+            return Structure(), (0, 0, 1)
         if word == "Omega":
             self.toks.advance()
-            return Omega()
+            return Omega(), (-1, 0, 2)
         if word == "dual":
             self.toks.advance()
-            return Dual(self._group(self.toks.expect("(", "'('")[2]))
+            node, (lo, hi, n) = self._group(self.toks.expect("(", "'('")[2])
+            return Dual(node), (-hi, -lo, n)
         if word in ("Sym", "Wedge"):
             self.toks.advance()
             k, _ = self._nat("a power")
-            node = self._group(self.toks.expect("(", "'('")[2])
-            return Sym(k, node) if word == "Sym" else Wedge(k, node)
+            node, shape = self._group(self.toks.expect("(", "'('")[2])
+            shape = self._power(shape, k, tok[2])
+            return (Sym(k, node) if word == "Sym" else Wedge(k, node)), shape
         if word == "J":
             self.toks.advance()
             k, kpos = self._nat("a jet order")
@@ -267,7 +313,9 @@ class _Parser:
             if stok[1] not in jetcalc.SIDES:
                 raise ParseError(stok[2], {"'left'", "'right'"}, repr(stok[1]))
             self.toks.expect(")", "')'")
-            return Jet(k, Twist(l), stok[1])
+            # Sym^k of the single twist (N+1) O(-1), tensored with O(l)
+            self._power((-1, -1, 1), k, tok[2])
+            return Jet(k, Twist(l), stok[1]), (l - k, l - k, 1)
         raise ParseError(tok[2], _FACTOR_EXPECTED, repr(word))
 
 
@@ -333,7 +381,7 @@ def _value(e, N: int) -> LineBundleSum:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e, N: int) -> KClass:
+def evaluate(e, N: int) -> TruncPoly:
     """Evaluate an expression to its class in K(P^N)."""
     if N < 1:
         raise ValueError("N must be positive")

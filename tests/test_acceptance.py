@@ -9,7 +9,6 @@ import random
 from jetk.exact_arith import TruncPoly, binom
 from jetk.jetcalc import JetSpec, jet_class, prove_non_isomorphic, verify_ktheory_equality
 from jetk.kring import (
-    KClass,
     LineBundleSum,
     class_of_twist,
     deg_rk,
@@ -44,16 +43,16 @@ def test_criterion_1_kring_twist_formulas():
         power = one
         for d in range(1, 13):
             power = power * geometric  # brute-force (1-t)^d
-            assert class_of_twist(N, -d).value == power
-            assert class_of_twist(N, d).value == power.inverse()
-            assert class_of_twist(N, d) * class_of_twist(N, -d) == KClass.one(N)
+            assert class_of_twist(N, -d) == power
+            assert class_of_twist(N, d) == power.inverse()
+            assert class_of_twist(N, d) * class_of_twist(N, -d) == TruncPoly.one(N + 1)
     _passed(1, "K-ring twist formulas")
 
 
 def test_criterion_2_line_coordinates():
     for d in range(0, 21):
-        assert class_of_twist(1, d).coefficients() == (1, d)
-        assert class_of_twist(1, -d).coefficients() == (1, -d)
+        assert class_of_twist(1, d).coeffs == (1, d)
+        assert class_of_twist(1, -d).coeffs == (1, -d)
     rng = random.Random(52)
     for _ in range(50):
         terms = {rng.randint(-9, 9): rng.randint(-5, 5) for _ in range(rng.randint(1, 5))}
@@ -61,14 +60,14 @@ def test_criterion_2_line_coordinates():
         degree = sum(d * m for d, m in terms.items() if m != 0)
         rank = sum(m for m in terms.values() if m != 0)
         assert deg_rk(s) == (degree, rank)
-        assert sum_to_class(s).coefficients() == (rank, degree)
+        assert sum_to_class(s).coeffs == (rank, degree)
     _passed(2, "P^1 coordinates and deg/rk")
 
 
 def test_criterion_3_sym_omega_euler_identity():
     for N in range(1, 7):
         for k in range(0, 7):
-            total = KClass.zero(N)
+            total = TruncPoly.zero(N + 1)
             for i in range(k + 1):
                 total = total + sym_omega(N, i)
             assert total == binom(N + k, N) * class_of_twist(N, -k)

@@ -45,15 +45,24 @@ def test_deep_expressions_are_input_errors(capsys):
         " + ".join(["O(1)"] * 1500),
         "Sym99999999999(O(1))",
         "J1001(O(0), left)",
+        "O(" + "9" * 5000 + ")",
+        "Sym" + "9" * 5000 + "(O(1))",
+        "Sym80(Sym80(O(1) + O(2)))",
+        # 2^41 twists, one product at a time
+        " * ".join(f"(O(0) + O({2 ** i}))" for i in range(41)),
     ]
-    for expr in deep:
-        assert run(["kclass", "-N", "1", expr]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: at position")
-        assert "Traceback" not in err
-    # the largest power and order still evaluate
+    for N in (1, 2):
+        for expr in deep:
+            assert run(["kclass", "-N", str(N), expr]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: at position")
+            assert "Traceback" not in err
+    # the largest power and order, and the largest kclass shapes of the
+    # kring-mix benchmark, still evaluate
     assert run(["kclass", "-N", "3", "Sym1000(O(1) + O(2))"]) == 0
     assert run(["kclass", "-N", "24", "J1000(O(0), left)"]) == 0
+    widest = "(Sym8(O(-3) + O(5) + O(-2) + O(4) + O(0) + O(1)))"
+    assert run(["kclass", "-N", "24", f"{widest} * {widest} + J12(O(8), left) * Sym24(Omega)"]) == 0
     capsys.readouterr()
 
 
@@ -277,3 +286,11 @@ def test_public_names_resolve():
     assert len(set(jetk.__all__)) == len(jetk.__all__)
     for name in jetk.__all__:
         assert hasattr(jetk, name), name
+    # the list README's "Python API" section documents
+    assert sorted(jetk.__all__) == sorted([
+        "parse", "evaluate", "print_expr", "ParseError", "RangeError", "TruncPoly",
+        "verify_ktheory_equality", "prove_non_isomorphic", "verify_corr_p1",
+        "jet_transition", "matrix_from_text", "birkhoff_split", "splitting_via_h0",
+        "SplittingType", "LaurentMatrix", "Report", "Step",
+        "VERIFIED", "REFUTED", "INAPPLICABLE",
+    ])

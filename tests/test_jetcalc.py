@@ -2,7 +2,7 @@
 
 import pytest
 
-from jetk.exact_arith import binom
+from jetk.exact_arith import TruncPoly, binom
 from jetk.jetcalc import (
     InapplicableError,
     JetSpec,
@@ -12,7 +12,7 @@ from jetk.jetcalc import (
     right_decomposition_first_order,
     verify_ktheory_equality,
 )
-from jetk.kring import KClass, LineBundleSum, class_of_twist, sum_to_class, sym_omega
+from jetk.kring import LineBundleSum, class_of_twist, sum_to_class, sym_omega
 from jetk.p1lab import birkhoff_split, jet_transition
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
 
@@ -28,19 +28,19 @@ def test_jet_spec_validation():
 
 def test_first_order_jet_on_line():
     for side in ("left", "right"):
-        assert jet_class(JetSpec(1, 1, 2, side)).coefficients() == (2, 2)
+        assert jet_class(JetSpec(1, 1, 2, side)).coeffs == (2, 2)
 
 
 def test_jet_of_structure_sheaf():
     for N in range(1, 6):
-        expected = sym_omega(N, 1) + KClass.one(N)
+        expected = sym_omega(N, 1) + TruncPoly.one(N + 1)
         assert jet_class(JetSpec(N, 1, 0, "left")) == expected
 
 
 def test_second_order_jet_closed_form():
     value = jet_class(JetSpec(2, 2, 3, "left"))
     assert value == 6 * class_of_twist(2, 1)
-    assert value.coefficients() == (6, 6, 6)
+    assert value.coeffs == (6, 6, 6)
     # term-by-term: sum over i <= 2 of [Sym^i Omega^1] * [O(3)]
     terms = [sym_omega(2, i) * class_of_twist(2, 3) for i in range(3)]
     total = terms[0] + terms[1] + terms[2]
@@ -59,7 +59,7 @@ def test_jet_class_is_side_independent():
 def test_jet_rank_bookkeeping():
     for N in range(1, 6):
         for k in range(1, 5):
-            rank = jet_class(JetSpec(N, k, 3, "left")).rank
+            rank = jet_class(JetSpec(N, k, 3, "left")).coeffs[0]
             assert rank == binom(N + k, N)
             if k == 1:
                 assert rank == N + 1
@@ -87,7 +87,7 @@ def test_left_splitting_inapplicable_below_one():
 def test_right_decomposition_values():
     omega_part, free_part = right_decomposition_first_order(1, 2)
     # on the line Omega^1 (x) O(2) = O(0)
-    assert omega_part == KClass.one(1)
+    assert omega_part == TruncPoly.one(2)
     assert free_part == LineBundleSum.line(1, 2)
 
     omega_part, free_part = right_decomposition_first_order(4, 0)

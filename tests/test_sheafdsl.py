@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from jetk.exact_arith import binom
+from jetk.exact_arith import TruncPoly, binom
 from jetk.jetcalc import JetSpec, jet_class
-from jetk.kring import KClass, class_of_twist, sum_to_class, sym_omega, sym_power
+from jetk.kring import class_of_twist, sum_to_class, sym_omega, sym_power
 from jetk.kring import LineBundleSum
 from jetk.sheafdsl import (
     MAX_DEPTH,
     MAX_POWER,
+    MAX_WORK,
     Dual,
     Jet,
     Omega,
@@ -65,7 +66,7 @@ def test_parse_error_position_and_expected():
 
 def test_parse_error_cases():
     for bad in ["", "O(", "O(2", "Sym(O(1))", "J1(O(1))", "J1(Omega, left)",
-                "O(2) O(3)", "dual O(1)", "J1(O(1), up)"]:
+                "O(2) O(3)", "dual O(1)", "J1(O(1), up)", "O(\u00b2)"]:
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -120,12 +121,12 @@ def test_round_trip_on_generated_corpus():
 
 def test_evaluate_structure_and_zero_twist():
     for N in range(1, 5):
-        assert evaluate(parse("O(0)"), N) == KClass.one(N)
-        assert evaluate(parse("O"), N) == KClass.one(N)
+        assert evaluate(parse("O(0)"), N) == TruncPoly.one(N + 1)
+        assert evaluate(parse("O"), N) == TruncPoly.one(N + 1)
 
 
 def test_evaluate_jet_on_line():
-    assert evaluate(parse("J1(O(2), right)"), 1).coefficients() == (2, 2)
+    assert evaluate(parse("J1(O(2), right)"), 1).coeffs == (2, 2)
 
 
 def test_evaluate_sym_omega_tensor():
@@ -144,21 +145,21 @@ def test_evaluate_split_operations():
 
 
 def test_evaluate_wedge_of_omega_on_line():
-    assert evaluate(parse("Wedge0(Omega)"), 1) == KClass.one(1)
+    assert evaluate(parse("Wedge0(Omega)"), 1) == TruncPoly.one(2)
     assert evaluate(parse("Wedge1(Omega)"), 1) == sym_omega(1, 1)
-    assert evaluate(parse("Wedge2(Omega)"), 1) == KClass.zero(1)
+    assert evaluate(parse("Wedge2(Omega)"), 1) == TruncPoly.zero(2)
 
 
 def test_wedge_of_omega_is_koszul():
     # 0 -> Omega^p -> Wedge^p O(-1)^(N+1) -> Omega^(p-1) -> 0, unrolled
     for N in range(1, 6):
         for p in range(0, N + 3):
-            koszul = KClass.zero(N)
+            koszul = TruncPoly.zero(N + 1)
             for j in range(p + 1):
                 koszul = koszul + (-1) ** (p - j) * binom(N + 1, j) * class_of_twist(N, -j)
             assert evaluate(parse(f"Wedge{p}(Omega)"), N) == koszul
             if p > N:
-                assert koszul == KClass.zero(N)
+                assert koszul == TruncPoly.zero(N + 1)
         assert evaluate(parse(f"Wedge{N}(Omega)"), N) == class_of_twist(N, -N - 1)
 
 
@@ -272,7 +273,28 @@ def test_parse_depth_limit():
     assert parse(f"Sym{MAX_POWER}(O(1))") == Sym(MAX_POWER, Twist(1))
     for text, position in [(f"Wedge{MAX_POWER + 1}(O(1))", 5),
                            (f"J{MAX_POWER + 1}(O(0), left)", 1),
-                           ("O(2) * Sym99999999999(O(1))", 10)]:
+                           ("O(2) * Sym99999999999(O(1))", 10),
+                           # past the digits int() converts
+                           ("O(" + "9" * 5000 + ")", 2),
+                           ("O(-" + "9" * 5000 + ")", 3),
+                           ("Sym" + "9" * 5000 + "(O(1))", 3),
+                           ("J" + "9" * 5000 + "(O(0), left)", 1)]:
         with pytest.raises(RangeError) as info:
+            parse(text)
+        assert info.value.position == position
+
+
+def test_parse_work_budget():
+    assert parse("Sym24(Sym24(O(1) + O(2)))") is not None  # predicts 8.3e6 of MAX_WORK
+    parse(f"Sym{MAX_POWER}(O(1) + O(2)) * Sym{MAX_POWER}(O(1) + O(2))")
+    for text, position in [("Sym25(Sym25(O(1) + O(2)))", 0),
+                           ("O(1) * Wedge80(Sym80(O(1) + O(2)))", 7),
+                           ("J1(O(1), left) + Sym1000(O(1) + O(2) + O(3))", 17),
+                           # 2e6 per power, 1e6 and then 3e6 for the products
+                           ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3))"
+                            " * Sym1000(O(1) + O(5))", 44),
+                           # the budget is for the whole expression
+                           (" + ".join([f"J{MAX_POWER}(O(0), left)"] * 11), 200)]:
+        with pytest.raises(RangeError, match=f"over the budget of {MAX_WORK}") as info:
             parse(text)
         assert info.value.position == position
