@@ -11,7 +11,9 @@ Subcommands:
     table    jets -N 1 --lmin <a> --lmax <b>
 
 Exit codes: 0 verified/success, 1 refuted claim, 2 usage or input error
-(an inapplicable verdict maps to 2 as an out-of-range query).  With
+(an inapplicable verdict maps to 2 as an out-of-range query), 3 internal
+fault: any other exception, reported on stderr as
+``error: internal fault: <Type>: <message>`` without a traceback.  With
 ``--json`` every command emits one report object {claim, params, verdict,
 steps}; all numbers are serialized as decimal strings so arbitrary
 precision survives any consumer.
@@ -118,6 +120,13 @@ def _require(args, names: list, claim: str) -> None:
 def _cmd_kclass(args):
     expr = sheafdsl.parse(args.expr)
     value = sheafdsl.evaluate(expr, args.N)
+    try:
+        rendered = str(value)
+    except ValueError:  # only int -> str conversion can fail here
+        raise ValueError(
+            "a coefficient of the result has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     report = Report(
         "kclass",
         {"N": args.N, "expr": args.expr},
@@ -125,11 +134,11 @@ def _cmd_kclass(args):
         [
             Step(
                 f"class in the basis {{1, t, ..., t^{args.N}}}",
-                {"coefficients": list(value.coeffs), "rendered": str(value)},
+                {"coefficients": list(value.coeffs), "rendered": rendered},
             )
         ],
     )
-    return report, str(value)
+    return report, rendered
 
 
 def _cmd_split(args):
@@ -290,10 +299,14 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         report, text = args.handler(args)
+        output = emit_json(report) if args.json else text
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(emit_json(report) if args.json else text)
+    except Exception as exc:  # a bug in jetk, never a verdict on the input
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    print(output)
     return _EXIT_BY_VERDICT[report.verdict]
 
 

@@ -65,9 +65,13 @@ class SplittingType(Record):
 
 class LaurentMatrix(Record):
     """Square matrix of Laurent polynomials; a transition matrix when its
-    determinant is a nonzero monomial."""
+    determinant is a nonzero monomial.
 
-    __slots__ = ("_entries",)
+    The only field is the entry grid.  ``_det_monomial`` remembers the
+    determinant monomial once computed; it is not a field, so equality,
+    hashing, ``repr`` and pickling never see it."""
+
+    __slots__ = ("_entries", "_det_monomial")
 
     def __init__(self, entries) -> None:
         rows = []
@@ -76,6 +80,10 @@ class LaurentMatrix(Record):
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("entries must form a nonempty square grid")
         object.__setattr__(self, "_entries", tuple(rows))
+        object.__setattr__(self, "_det_monomial", None)
+
+    def _fields(self) -> tuple:
+        return (self._entries,)
 
     @staticmethod
     def _coerce(e) -> LaurentPoly:
@@ -117,21 +125,33 @@ class LaurentMatrix(Record):
         return _det(self.rows())
 
     def det_monomial(self) -> tuple:
-        """(coefficient, exponent) of the determinant; must be a monomial."""
-        d = self.det()
-        if d.is_zero() or not d.is_monomial():
-            raise NotATransitionError(
-                f"determinant {d} is not a unit monomial; "
-                "not a vector-bundle transition"
-            )
-        e = d.min_degree
-        return (d.coefficient(e), e)
+        """(coefficient, exponent) of the determinant; must be a monomial.
+
+        The cofactor expansion runs at most once per matrix; a determinant
+        that is not a monomial is never remembered, so it raises on every
+        call."""
+        if self._det_monomial is None:
+            d = self.det()
+            if d.is_zero() or not d.is_monomial():
+                raise NotATransitionError(
+                    f"determinant {d} is not a unit monomial; "
+                    "not a vector-bundle transition"
+                )
+            e = d.min_degree
+            object.__setattr__(self, "_det_monomial", (d.coefficient(e), e))
+        return self._det_monomial
 
     def shifted(self, k: int) -> "LaurentMatrix":
-        """u^k times the matrix: the transition of the k-th twist."""
-        return LaurentMatrix(
+        """u^k times the matrix: the transition of the k-th twist.
+
+        A remembered determinant carries over, since det(u^k M) = u^(rk) det M."""
+        twisted = LaurentMatrix(
             [[e.shift(k) for e in row] for row in self._entries]
         )
+        if self._det_monomial is not None:
+            c, e = self._det_monomial
+            object.__setattr__(twisted, "_det_monomial", (c, e + self.size * k))
+        return twisted
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.size != other.size:
@@ -149,14 +169,6 @@ class LaurentMatrix(Record):
                 for i in range(n)
             ]
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(self._entries)
 
     def __str__(self):
         return "\n".join(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetk
+from jetk import p1lab
 from jetk.cli import _render_report, emit_json, report_from_json, run
 from jetk.exact_arith import binom
 from jetk.report import REFUTED, VERIFIED, Report, Step
@@ -57,6 +58,17 @@ def test_deep_expressions_are_input_errors(capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: at position")
             assert "Traceback" not in err
+    # a class too large to print is an input error in jetk's own terms,
+    # in text and JSON mode alike
+    nines = "O(" + "9" * 2000 + ")"
+    for mode in ([], ["--json"]):
+        assert run(["kclass", "-N", "3", *mode, nines]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a coefficient of the result has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
     # the largest power and order, and the largest kclass shapes of the
     # kring-mix benchmark, still evaluate
     assert run(["kclass", "-N", "3", "Sym1000(O(1) + O(2))"]) == 0
@@ -64,6 +76,29 @@ def test_deep_expressions_are_input_errors(capsys):
     widest = "(Sym8(O(-3) + O(5) + O(-2) + O(4) + O(0) + O(1)))"
     assert run(["kclass", "-N", "24", f"{widest} * {widest} + J12(O(8), left) * Sym24(Omega)"]) == 0
     capsys.readouterr()
+
+
+def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
+    def broken(matrix):
+        raise AssertionError("row-proper degrees do not match the determinant")
+
+    monkeypatch.setattr(p1lab, "birkhoff_split", broken)
+    assert run(["split", "-N", "1", "J1(O(2), right)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal fault: AssertionError: "
+        "row-proper degrees do not match the determinant\n"
+    )
+
+    def recursing(matrix):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(p1lab, "birkhoff_split", recursing)
+    assert run(["split", "-N", "1", "--json", "J1(O(2), right)"]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal fault: RecursionError: maximum recursion depth exceeded\n"
+    )
 
 
 def test_split_text_output(capsys):

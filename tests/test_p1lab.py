@@ -1,10 +1,15 @@
 """Tests for transition matrices, Birkhoff splitting, and Cech residues."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetk import p1lab
+from jetk.cli import run
 from jetk.exact_arith import LaurentPoly, laurent_from_string
 from jetk.kring import LineBundleSum, deg_rk
 from jetk.p1lab import (
@@ -289,3 +294,86 @@ def test_matrix_text_rejects_garbage():
         matrix_from_text("")
     with pytest.raises(ValueError):
         matrix_from_text("u ; 1")  # not square
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Sizes of the top-level cofactor expansions run while the test runs;
+    the minors an expansion recurses into are not counted."""
+    sizes = []
+    depth = 0
+    real = p1lab._det
+
+    def counting(rows):
+        nonlocal depth
+        if depth == 0:
+            sizes.append(len(rows))
+        depth += 1
+        try:
+            return real(rows)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(p1lab, "_det", counting)
+    return sizes
+
+
+def test_one_expansion_per_matrix(expansions, tmp_path, capsys):
+    rng = random.Random(5)
+    m = (
+        random_unimodular(rng, 3, +1)
+        @ LaurentMatrix.diagonal_powers([2, 0, -1])
+        @ random_unimodular(rng, 3, -1)
+    )
+    path = tmp_path / "rank3.txt"
+    path.write_text(str(m), encoding="utf-8")
+    # jetk birkhoff reports the determinant and then splits the matrix
+    assert run(["birkhoff", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "{-1, 0, 2}"
+    assert expansions == [3]
+    # the twists handed to h0_count carry the determinant with them
+    assert splitting_via_h0(matrix_from_text(str(m))) == SplittingType((2, 0, -1))
+    assert expansions == [3, 3]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.randoms(use_true_random=False), st.integers(2, 3), st.integers(-3, 3))
+def test_carried_determinant_matches_a_fresh_expansion(rng, size, k):
+    degrees = [rng.randint(-3, 3) for _ in range(size)]
+    m = (
+        random_unimodular(rng, size, +1)
+        @ LaurentMatrix.diagonal_powers(degrees)
+        @ random_unimodular(rng, size, -1)
+    )
+    unasked = LaurentMatrix(m.rows())
+    c, e = m.det_monomial()
+    carried = m.shifted(k)
+    assert carried.det_monomial() == LaurentMatrix(carried.rows()).det_monomial()
+    assert carried.det_monomial() == (c, e + size * k)
+    # whether the determinant was asked for never shows
+    for asked, fresh in ((m, unasked), (carried, unasked.shifted(k))):
+        assert asked == fresh
+        assert hash(asked) == hash(fresh)
+        assert repr(asked) == repr(fresh)
+        assert pickle.dumps(asked) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(asked)) == fresh
+
+
+def test_non_monomial_determinant_is_never_remembered(expansions, tmp_path, capsys):
+    bad = LaurentMatrix(
+        [
+            [u(1), u(0), LaurentPoly.zero()],
+            [u(0), u(0), u(2)],
+            [LaurentPoly.zero(), u(0), u(1)],
+        ]
+    )  # determinant -u^3 + u^2 - u
+    for check in (LaurentMatrix.det_monomial, birkhoff_split, h0_count, splitting_via_h0):
+        for _ in range(2):
+            with pytest.raises(NotATransitionError, match="not a unit monomial"):
+                check(bad)
+    assert expansions == [3] * 8
+    path = tmp_path / "bad.txt"
+    path.write_text(str(bad), encoding="utf-8")
+    for _ in range(2):
+        assert run(["birkhoff", "--matrix", str(path)]) == 2
+        assert "not a unit monomial" in capsys.readouterr().err
