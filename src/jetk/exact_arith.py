@@ -24,10 +24,6 @@ import re
 from fractions import Fraction
 
 
-class NotInvertibleError(ArithmeticError):
-    """Raised when a series inverse does not exist over the integers."""
-
-
 class Record:
     """Immutable value with positional fields named by ``__slots__``, equal
     only to a record of the same class with equal fields.  A subclass's
@@ -134,9 +130,6 @@ class TruncPoly(Record):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -154,72 +147,30 @@ class TruncPoly(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncPoly.one(self.modulus_exponent)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "TruncPoly":
-        """Multiplicative inverse by series recursion.
-
-        Exists over Z exactly when the constant coefficient is +1 or -1.
-        """
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise NotInvertibleError(
-                f"constant term {c0} is not a unit of the integers"
-            )
-        m = self.modulus_exponent
-        inv = [0] * m
-        inv[0] = c0
-        for n in range(1, m):
-            acc = sum(self.coeffs[i] * inv[n - i] for i in range(1, n + 1))
-            inv[n] = -c0 * acc
-        return TruncPoly(m, inv)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = TruncPoly(self.modulus_exponent, (other,))
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return (
-            self.modulus_exponent == other.modulus_exponent
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.modulus_exponent, self.coeffs))
-
     def __str__(self):
-        return format_poly_in(self.coeffs, "t")
+        return _render(enumerate(self.coeffs), "t", "")
 
     def __repr__(self):
         return f"TruncPoly({self.modulus_exponent}, {self.coeffs})"
 
 
-def format_poly_in(coeffs, var: str) -> str:
-    """Render a coefficient sequence as a polynomial string, e.g. '1 + 5t'."""
+def _render(terms, var: str, times: str) -> str:
+    """A sum of (exponent, coefficient) terms in the given order, zeros
+    skipped, e.g. '1 + 5t' (times '') or '3*u^-2 - 1/2*u^3' (times '*')."""
     parts = []
-    for i, c in enumerate(coeffs):
+    for e, c in terms:
         if c == 0:
             continue
         mag = abs(c)
-        if i == 0:
+        if e == 0:
             body = str(mag)
         else:
-            power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}{times}{power}"
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"-{body}" if c < 0 else body)
     return " ".join(parts) if parts else "0"
 
 
@@ -242,15 +193,8 @@ class LaurentPoly(Record):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient=1) -> "LaurentPoly":
         return cls({exponent: Fraction(coefficient)})
-
-    def items(self):
-        return self._coeffs.items()
 
     def coefficient(self, exponent: int) -> Fraction:
         return self._coeffs.get(exponent, Fraction(0))
@@ -298,9 +242,6 @@ class LaurentPoly(Record):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -322,36 +263,11 @@ class LaurentPoly(Record):
         """Formal derivative d/du."""
         return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
 
-    def substitute_inverse(self) -> "LaurentPoly":
-        """The polynomial p(1/u)."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
-            mag = -c if c < 0 else c
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "u" if e == 1 else f"u^{e}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render(sorted(self._coeffs.items()), "u", "*")
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))})"

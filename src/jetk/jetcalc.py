@@ -19,62 +19,24 @@ O(l-1)^(N+1), but Hom(O(l), O(l-1)) = H^0(O(-1)) = 0.
 
 from __future__ import annotations
 
-from .exact_arith import Record, TruncPoly, binom
+from .exact_arith import TruncPoly, binom
 from .kring import LineBundleSum, class_of_twist, cohomology_dim, sum_to_class, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
-LEFT = "left"
-RIGHT = "right"
-SIDES = (LEFT, RIGHT)
+SIDES = ("left", "right")
 
 
-class InapplicableError(ValueError):
-    """Raised when an operation is asked outside its certified range."""
-
-
-class JetSpec(Record):
-    """Parameters of a jet-bundle query: J^order(O(twist)) on P^ambient_dim."""
-
-    __slots__ = ("ambient_dim", "order", "twist", "side")
-
-    def __init__(self, ambient_dim: int, order: int, twist: int, side: str) -> None:
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
-        if order < 1:
-            raise ValueError("jet order must be at least 1")
-        if side not in SIDES:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        super().__init__(ambient_dim, order, twist, side)
-
-
-def jet_class(spec: JetSpec) -> TruncPoly:
-    """[J^k(O(l))] on P^N; independent of the side."""
-    N, k, l = spec.ambient_dim, spec.order, spec.twist
+def jet_class(N: int, k: int, l: int) -> TruncPoly:
+    """[J^k(O(l))] on P^N; the same for both sides."""
+    if k < 1:
+        raise ValueError(f"jet order must be at least 1, got k={k}")
+    if N < 1:
+        raise ValueError("N must be positive")
     twist_class = class_of_twist(N, l)
     total = TruncPoly.zero(N + 1)
     for i in range(k + 1):
         total = total + sym_omega(N, i) * twist_class
     return total
-
-
-def left_splitting_first_order(N: int, l: int) -> LineBundleSum:
-    """Splitting type of J^1(O(l)) as left module: O(l-1)^(N+1), for l >= 1."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if l < 1:
-        raise InapplicableError(
-            f"the left splitting O(l-1)^(N+1) is certified only for l >= 1, got l={l}"
-        )
-    return LineBundleSum(N, {l - 1: N + 1})
-
-
-def right_decomposition_first_order(N: int, l: int) -> tuple:
-    """J^1(O(l)) as right module: (class of Omega^1 (x) O(l), the summand O(l))."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    omega_part = sym_omega(N, 1) * class_of_twist(N, l)
-    free_part = LineBundleSum.line(N, l)
-    return (omega_part, free_part)
 
 
 def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
@@ -84,11 +46,7 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     structure, so equality certifies that left and right classes coincide.
     A refutation would indicate an implementation bug.
     """
-    if k < 1:
-        raise ValueError(f"jet order must be at least 1, got k={k}")
-    if N < 1:
-        raise ValueError("N must be positive")
-    telescoped = jet_class(JetSpec(N, k, l, LEFT))
+    telescoped = jet_class(N, k, l)
     closed = binom(N + k, N) * class_of_twist(N, l - k)
     steps = [
         Step(
@@ -115,7 +73,9 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
 def prove_non_isomorphic(N: int, l: int) -> Report:
     """Certify whether the left and right structures of J^1(O(l)) differ.
 
-    l >= 1: verified non-isomorphic.  l = 0: refuted (the universal
+    l >= 1: verified non-isomorphic when Hom(O(l), O(l-1)) vanishes and
+    both structures have the same K-class; refuted otherwise, as either
+    failure would be an implementation bug.  l = 0: refuted (the universal
     derivation splits the jet projection on the left as well, so both
     structures are Omega^1 + O).  l < 0: inapplicable at this level; on
     the projective line the explicit transition-matrix oracle decides.
@@ -143,8 +103,11 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         ]
         return Report("jet-structures-non-isomorphic", params, REFUTED, steps)
 
-    right_omega, right_free = right_decomposition_first_order(N, l)
-    left_sum = left_splitting_first_order(N, l)
+    twist_class = class_of_twist(N, l)
+    right_omega = sym_omega(N, 1) * twist_class
+    left_sum = LineBundleSum(N, {l - 1: N + 1})
+    left_class = sum_to_class(left_sum)
+    right_class = right_omega + twist_class
     hom_dim = cohomology_dim(N, -1, 0)
     steps = [
         Step(
@@ -163,12 +126,8 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         ),
         Step(
             "class-level consistency: both structures have equal K-class",
-            {
-                "left": list(sum_to_class(left_sum).coeffs),
-                "right": list((right_omega + sum_to_class(right_free)).coeffs),
-            },
+            {"left": list(left_class.coeffs), "right": list(right_class.coeffs)},
         ),
     ]
-    verdict = VERIFIED if hom_dim == 0 else REFUTED
+    verdict = VERIFIED if hom_dim == 0 and left_class == right_class else REFUTED
     return Report("jet-structures-non-isomorphic", params, verdict, steps)
-

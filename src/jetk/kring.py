@@ -50,10 +50,6 @@ class LineBundleSum(Record):
         return cls(ambient_dim, {d: mult})
 
     @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    @property
     def rank(self) -> int:
         return sum(self._terms.values())
 
@@ -84,12 +80,7 @@ class LineBundleSum(Record):
     def dual(self) -> "LineBundleSum":
         return LineBundleSum(self.ambient_dim, {-d: m for d, m in self._terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, LineBundleSum):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self._terms == other._terms
-
-    def __hash__(self):
+    def __hash__(self):  # Record's would hash the dict of terms
         return hash((self.ambient_dim, frozenset(self._terms.items())))
 
     def __str__(self):
@@ -127,18 +118,6 @@ def sum_to_class(s: LineBundleSum) -> TruncPoly:
                 break
             coeffs[i] += c
     return TruncPoly(N + 1, coeffs)
-
-
-def deg_rk(s: LineBundleSum) -> tuple:
-    """(degree, rank) of a sum on the projective line.
-
-    These are the coordinates of its class in the basis {1, t} of K(P^1).
-    """
-    if s.ambient_dim != 1:
-        raise ValueError(
-            f"degree/rank coordinates live on P^1, got P^{s.ambient_dim}"
-        )
-    return (s.degree, s.rank)
 
 
 def _series_coefficient(s: LineBundleSum, k: int, sign: int) -> LineBundleSum:

@@ -44,21 +44,6 @@ class SplittingType(Record):
     def __init__(self, degrees) -> None:
         super().__init__(tuple(sorted((int(d) for d in degrees), reverse=True)))
 
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
-    def section_count(self) -> int:
-        """h^0 of the split bundle: sum of max(0, d+1)."""
-        return sum(max(0, d + 1) for d in self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
     def __str__(self):
         return "{" + ", ".join(str(d) for d in sorted(self.degrees)) + "}"
 
@@ -92,10 +77,6 @@ class LaurentMatrix(Record):
         if isinstance(e, (int, Fraction)):
             return LaurentPoly({0: e})
         raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
-
-    @classmethod
-    def identity(cls, size: int) -> "LaurentMatrix":
-        return cls.diagonal_powers([0] * size)
 
     @classmethod
     def diagonal_powers(cls, exponents) -> "LaurentMatrix":
@@ -152,23 +133,6 @@ class LaurentMatrix(Record):
             c, e = self._det_monomial
             object.__setattr__(twisted, "_det_monomial", (c, e + self.size * k))
         return twisted
-
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n = self.size
-        return LaurentMatrix(
-            [
-                [
-                    sum(
-                        (self._entries[i][k] * other._entries[k][j] for k in range(n)),
-                        LaurentPoly.zero(),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
 
     def __str__(self):
         return "\n".join(
@@ -246,26 +210,6 @@ def _rref(rows, ncols):
     return pivots
 
 
-def _rank(rows, ncols) -> int:
-    work = [list(r) for r in rows]
-    return len(_rref(work, ncols))
-
-
-def _kernel_vector(rows, ncols):
-    """First basis vector of the kernel of the matrix, or None if injective."""
-    work = [list(r) for r in rows]
-    pivots = _rref(work, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    col = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[col] = Fraction(1)
-    for row_idx, pivot_col in enumerate(pivots):
-        vec[pivot_col] = -work[row_idx][col]
-    return vec
-
-
 def birkhoff_split(m: LaurentMatrix) -> SplittingType:
     """Splitting degrees {a_i} with m = A * diag(u^a_i) * B, where A is
     invertible over polynomials in u and B over polynomials in 1/u.
@@ -292,12 +236,19 @@ def birkhoff_split(m: LaurentMatrix) -> SplittingType:
             if row_deg is None:
                 raise AssertionError("zero row in a matrix with nonzero determinant")
             degs.append(row_deg)
-        leading = [
-            [rows[i][j].coefficient(degs[i]) for j in range(r)] for i in range(r)
+        # a row combination that cancels the leading terms: a kernel vector
+        # of the transposed leading-coefficient matrix
+        columns = [
+            [rows[i][j].coefficient(degs[i]) for i in range(r)] for j in range(r)
         ]
-        kernel = _kernel_vector([list(col) for col in zip(*leading)], r)
-        if kernel is None:
+        pivots = _rref(columns, r)
+        if len(pivots) == r:
             break
+        free = next(c for c in range(r) if c not in pivots)
+        kernel = [Fraction(0)] * r
+        kernel[free] = Fraction(1)
+        for row_idx, pivot_col in enumerate(pivots):
+            kernel[pivot_col] = -columns[row_idx][free]
         support = [i for i in range(r) if kernel[i] != 0]
         target = max(support, key=lambda i: (degs[i], -i))
         scale = Fraction(1) / kernel[target]
@@ -346,7 +297,7 @@ def h0_count(m: LaurentMatrix) -> int:
                         nonzero = True
             if nonzero:
                 equations.append(row)
-    return unknowns - _rank(equations, unknowns)
+    return unknowns - len(_rref(equations, unknowns))
 
 
 def splitting_via_h0(m: LaurentMatrix) -> SplittingType:

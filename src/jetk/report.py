@@ -27,10 +27,3 @@ class Report(Record):
         if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
         super().__init__(claim, params, verdict, tuple(steps))
-
-    def step_values(self, fragment: str) -> dict:
-        """Values of the first step whose description contains fragment."""
-        for step in self.steps:
-            if fragment in step.description:
-                return step.values
-        raise KeyError(f"no step matching {fragment!r}")

@@ -1,0 +1,45 @@
+"""Reference code and accessors the tests share; jetk itself needs none of it."""
+
+from jetk.exact_arith import TruncPoly
+
+
+class NotInvertibleError(ArithmeticError):
+    """Raised when a series inverse does not exist over the integers."""
+
+
+def power(p: TruncPoly, n: int) -> TruncPoly:
+    """p^n for n >= 0 by repeated multiplication."""
+    out = TruncPoly.one(p.modulus_exponent)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def inverse(p: TruncPoly) -> TruncPoly:
+    """Multiplicative inverse by series recursion.
+
+    Exists over Z exactly when the constant coefficient is +1 or -1.
+    """
+    c0 = p.coeffs[0]
+    if c0 not in (1, -1):
+        raise NotInvertibleError(f"constant term {c0} is not a unit of the integers")
+    m = p.modulus_exponent
+    inv = [0] * m
+    inv[0] = c0
+    for n in range(1, m):
+        acc = sum(p.coeffs[i] * inv[n - i] for i in range(1, n + 1))
+        inv[n] = -c0 * acc
+    return TruncPoly(m, inv)
+
+
+def section_count(splitting) -> int:
+    """h^0 of the split bundle with these degrees: sum of max(0, d+1)."""
+    return sum(max(0, d + 1) for d in splitting.degrees)
+
+
+def step_values(report, fragment: str) -> dict:
+    """Values of the first step whose description contains fragment."""
+    for step in report.steps:
+        if fragment in step.description:
+            return step.values
+    raise KeyError(f"no step matching {fragment!r}")

@@ -1,4 +1,5 @@
-"""Random transition matrices and unimodular factors for splitting tests."""
+"""Random transition matrices and unimodular factors for splitting tests,
+and the matrix products that build them."""
 
 from fractions import Fraction
 
@@ -16,9 +17,32 @@ def random_poly(rng, var_sign, max_deg=3):
     return LaurentPoly(terms)
 
 
+def identity(size):
+    return LaurentMatrix.diagonal_powers([0] * size)
+
+
+def matmul(*factors):
+    """The product of square matrices of one size, left to right."""
+    out = factors[0]
+    n = out.size
+    for f in factors[1:]:
+        if f.size != n:
+            raise ValueError("size mismatch")
+        out = LaurentMatrix(
+            [
+                [
+                    sum((out.entry(i, k) * f.entry(k, j) for k in range(n)), LaurentPoly.zero())
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+    return out
+
+
 def random_unimodular(rng, size, var_sign, max_factors=5):
     """Product of at most max_factors elementary matrices over the chosen ring."""
-    m = LaurentMatrix.identity(size)
+    m = identity(size)
     for _ in range(rng.randint(1, max_factors)):
         kind = rng.choice(["add", "swap", "scale"])
         rows = [
@@ -39,5 +63,5 @@ def random_unimodular(rng, size, var_sign, max_factors=5):
             i = rng.randrange(size)
             c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
             rows[i][i] = LaurentPoly({0: c})
-        m = m @ LaurentMatrix(rows)
+        m = matmul(m, LaurentMatrix(rows))
     return m

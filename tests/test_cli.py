@@ -1,5 +1,7 @@
-"""Tests for the command-line surface and the JSON report codec."""
+"""Tests for the command-line surface and its JSON reports."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetk
-from jetk import p1lab
-from jetk.cli import _render_report, emit_json, report_from_json, run
+from jetk import cli, p1lab, sheafdsl
+from jetk.cli import _render_report, emit_json, run
 from jetk.exact_arith import binom
 from jetk.report import REFUTED, VERIFIED, Report, Step
 
@@ -76,6 +80,70 @@ def test_deep_expressions_are_input_errors(capsys):
     widest = "(Sym8(O(-3) + O(5) + O(-2) + O(4) + O(0) + O(1)))"
     assert run(["kclass", "-N", "24", f"{widest} * {widest} + J12(O(8), left) * Sym24(Omega)"]) == 0
     capsys.readouterr()
+
+
+def test_size_flags_are_bounded(capsys):
+    def rejected(argv, flag, value):
+        for mode in ([], ["--json"]):
+            assert run([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            limit = cli.MAX_N if flag == "-N" else sheafdsl.MAX_POWER
+            assert captured.err == f"error: {flag} {value} exceeds the limit of {limit}\n"
+
+    huge = "100000000000"
+    rejected(["kclass", "-N", huge, "O(5)"], "-N", huge)
+    rejected(["verify", "ktheory", "-N", huge, "-k", "1", "-l", "0"], "-N", huge)
+    rejected(["verify", "mainsplit", "-N", huge, "-l", "1"], "-N", huge)
+    rejected(["verify", "ktheory", "-N", "3", "-k", "5000", "-l", "0"], "-k", "5000")
+    over_n, over_k = str(cli.MAX_N + 1), str(sheafdsl.MAX_POWER + 1)
+    rejected(["kclass", "-N", over_n, "O"], "-N", over_n)
+    rejected(["verify", "ktheory", "-N", "3", "-k", over_k, "-l", "0"], "-k", over_k)
+    # the limits themselves are admitted; every N that README, tests and
+    # perfbench use (at most 300) lies below them
+    assert cli.MAX_N >= 300
+    assert run(["kclass", "-N", str(cli.MAX_N), "O(1)"]) == 0
+    argv = ["verify", "mainsplit", "-N", str(cli.MAX_N), "-k", str(sheafdsl.MAX_POWER), "-l", "1"]
+    assert run(argv) == 0
+    capsys.readouterr()
+
+
+def _flag(name, values):
+    """An argv fragment: the flag with a drawn value, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_small = st.integers(-3, 4).map(str)
+_dims = st.one_of(_small, st.just("100000000000"))
+_exprs = st.sampled_from([
+    "O", "O(2)", "Omega", "Sym2(Omega) * O(3)", "Wedge3(O(1) + O(-1) + Omega)",
+    "dual(J2(O(1), left))", "J1(O(2), right)", "J1(O(-1), left)", "J2(O(3), right)",
+    "O(2) + + O(1)", "Sym(O)", "",
+])
+_entries = st.sampled_from(["0", "1", "-2", "u", "u^-1", "2*u^2", "1/2*u^-2", "1 - u"])
+_matrices = st.lists(st.lists(_entries, min_size=1, max_size=3), min_size=1, max_size=3)
+_argvs = st.one_of(
+    st.tuples(st.sampled_from([["kclass"], ["split"]]), _flag("-N", _dims), _exprs.map(lambda e: [e])),
+    st.tuples(
+        st.sampled_from(["mainsplit", "ktheory", "atiyah"]).map(lambda c: ["verify", c]),
+        _flag("-N", _dims), _flag("-k", _small), _flag("-l", _small),
+    ),
+    st.tuples(st.just(["table", "jets"]), _flag("-N", _dims), _flag("--lmin", _small), _flag("--lmax", _small)),
+    st.just((["birkhoff", "--matrix", "{matrix}"],)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_argvs, _matrices, st.booleans())
+def test_run_never_reports_an_internal_fault(tmp_path_factory, argv, rows, as_json):
+    path = tmp_path_factory.getbasetemp() / "matrix.txt"
+    path.write_text("\n".join(" ; ".join(row) for row in rows), encoding="utf-8")
+    argv = [str(path) if arg == "{matrix}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--json"] if as_json else argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "internal fault" not in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
@@ -228,6 +296,11 @@ def test_exit_code_is_function_of_verdict(capsys):
         capsys.readouterr()
 
 
+def _report_from_payload(payload):
+    steps = [Step(s["description"], s["values"]) for s in payload["steps"]]
+    return Report(payload["claim"], payload["params"], payload["verdict"], steps)
+
+
 def test_json_report_round_trip():
     report = Report(
         "demo",
@@ -238,14 +311,17 @@ def test_json_report_round_trip():
             Step("flags survive", {"ok": True, "note": "text stays text"}),
         ],
     )
-    back = report_from_json(emit_json(report))
-    assert back.claim == report.claim
-    assert back.verdict == report.verdict
-    assert back.params == report.params
-    assert back.steps[0].values["big"] == binom(70, 35)
-    assert back.steps[0].values["list"] == [1, -2]
-    assert back.steps[0].values["half"] == Fraction(1, 2)
-    assert back.steps[1].values == {"ok": True, "note": "text stays text"}
+    payload = json.loads(emit_json(report))
+    assert payload["claim"] == report.claim
+    assert payload["verdict"] == report.verdict
+    assert payload["params"] == {"N": "3", "l": "2"}
+    values = payload["steps"][0]["values"]
+    assert values["big"] == str(binom(70, 35))
+    assert values["list"] == ["1", "-2"]
+    assert values["half"] == "1/2"
+    assert payload["steps"][1]["values"] == {"ok": True, "note": "text stays text"}
+    # the text renderer prints the decimal strings as it prints the numbers
+    assert _render_report(_report_from_payload(payload)) == _render_report(report)
 
 
 def test_report_is_a_checked_immutable_value():
@@ -282,7 +358,7 @@ def test_json_preserves_arbitrary_precision():
     report = Report("precision", {}, VERIFIED, [Step("huge", {"value": value})])
     payload = json.loads(emit_json(report))
     assert payload["steps"][0]["values"]["value"] == str(value)
-    assert report_from_json(emit_json(report)).steps[0].values["value"] == value
+    assert int(payload["steps"][0]["values"]["value"]) == value
 
 
 def test_refuted_report_serialization(capsys):
@@ -297,7 +373,7 @@ def test_text_and_json_present_identical_values(capsys):
     text_out = capsys.readouterr().out.strip()
     run(["verify", "mainsplit", "-N", "3", "-l", "2", "--json"])
     json_out = capsys.readouterr().out
-    rebuilt = report_from_json(json_out)
+    rebuilt = _report_from_payload(json.loads(json_out))
     assert _render_report(rebuilt) == text_out
 
 

@@ -7,13 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from jetk.exact_arith import (
-    LaurentPoly,
-    NotInvertibleError,
-    TruncPoly,
-    binom,
-    laurent_from_string,
-)
+from jetk.exact_arith import LaurentPoly, TruncPoly, binom, laurent_from_string
+
+from helpers import NotInvertibleError, inverse, power
 
 
 def test_binom_small_factorial_case():
@@ -73,7 +69,7 @@ def test_trunc_multiplicative_identity():
 
 
 def test_trunc_binomial_square():
-    assert TruncPoly(3, (1, 1)) ** 2 == TruncPoly(3, (1, 2, 1))
+    assert power(TruncPoly(3, (1, 1)), 2) == TruncPoly(3, (1, 2, 1))
 
 
 def test_trunc_modulus_mismatch_rejected():
@@ -116,19 +112,19 @@ def _long_division_inverse(coeffs, modulus):
 
 
 def test_inverse_geometric_series():
-    assert TruncPoly(3, (1, -1)).inverse() == TruncPoly(3, (1, 1, 1))
+    assert inverse(TruncPoly(3, (1, -1))) == TruncPoly(3, (1, 1, 1))
 
 
 def test_inverse_of_one():
-    assert TruncPoly.one(6).inverse() == TruncPoly.one(6)
+    assert inverse(TruncPoly.one(6)) == TruncPoly.one(6)
 
 
 def test_inverse_of_squared_geometric():
     # long-division oracle agrees with the frozen expansion sum binom(j+1, j) t^j
-    square = TruncPoly(3, (1, -1)) ** 2
+    square = power(TruncPoly(3, (1, -1)), 2)
     oracle = _long_division_inverse(list(square.coeffs), 3)
     assert oracle == [1, 2, 3]
-    assert square.inverse() == TruncPoly(3, oracle)
+    assert inverse(square) == TruncPoly(3, oracle)
 
 
 def test_inverse_law_randomized():
@@ -137,16 +133,16 @@ def test_inverse_law_randomized():
         m = rng.randint(2, 8)
         coeffs = [rng.choice([1, -1])] + [rng.randint(-9, 9) for _ in range(m - 1)]
         a = TruncPoly(m, coeffs)
-        assert a * a.inverse() == TruncPoly.one(m)
+        assert a * inverse(a) == TruncPoly.one(m)
         oracle = _long_division_inverse(coeffs, m)
-        assert a.inverse() == TruncPoly(m, oracle)
+        assert inverse(a) == TruncPoly(m, oracle)
 
 
 def test_inverse_rejects_non_unit():
     with pytest.raises(NotInvertibleError):
-        TruncPoly(3, (2, 1)).inverse()
+        inverse(TruncPoly(3, (2, 1)))
     with pytest.raises(NotInvertibleError):
-        TruncPoly(3, (0, 1)).inverse()
+        inverse(TruncPoly(3, (0, 1)))
 
 
 def u(e, c=1):
@@ -233,3 +229,12 @@ def test_polynomials_are_immutable_values():
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             setattr(value, name, ())
         assert pickle.loads(pickle.dumps(value)) == value
+    # equal only to a polynomial of the same kind, and then of equal hash
+    for one, same in (
+        (TruncPoly.one(3), TruncPoly(3, [1, 0, 0])),
+        (LaurentPoly.monomial(0), laurent_from_string("2/2")),
+    ):
+        assert one != 1 and 1 != one
+        assert one == same and hash(one) == hash(same)
+    assert TruncPoly.one(3) != TruncPoly.one(4)
+    assert TruncPoly.one(1) != LaurentPoly.monomial(0)

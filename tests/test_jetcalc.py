@@ -2,43 +2,36 @@
 
 import pytest
 
+from jetk import jetcalc
 from jetk.exact_arith import TruncPoly, binom
-from jetk.jetcalc import (
-    InapplicableError,
-    JetSpec,
-    jet_class,
-    left_splitting_first_order,
-    prove_non_isomorphic,
-    right_decomposition_first_order,
-    verify_ktheory_equality,
-)
-from jetk.kring import LineBundleSum, class_of_twist, sum_to_class, sym_omega
+from jetk.jetcalc import jet_class, prove_non_isomorphic, verify_ktheory_equality
+from jetk.kring import LineBundleSum, class_of_twist, sym_omega
 from jetk.p1lab import birkhoff_split, jet_transition
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
+from jetk.sheafdsl import evaluate, parse
+
+from helpers import step_values
 
 
-def test_jet_spec_validation():
+def test_jet_class_validation():
     with pytest.raises(ValueError):
-        JetSpec(0, 1, 2, "left")
+        jet_class(0, 1, 2)
     with pytest.raises(ValueError):
-        JetSpec(1, 0, 2, "left")
-    with pytest.raises(ValueError):
-        JetSpec(1, 1, 2, "sideways")
+        jet_class(1, 0, 2)
 
 
 def test_first_order_jet_on_line():
-    for side in ("left", "right"):
-        assert jet_class(JetSpec(1, 1, 2, side)).coeffs == (2, 2)
+    assert jet_class(1, 1, 2).coeffs == (2, 2)
 
 
 def test_jet_of_structure_sheaf():
     for N in range(1, 6):
         expected = sym_omega(N, 1) + TruncPoly.one(N + 1)
-        assert jet_class(JetSpec(N, 1, 0, "left")) == expected
+        assert jet_class(N, 1, 0) == expected
 
 
 def test_second_order_jet_closed_form():
-    value = jet_class(JetSpec(2, 2, 3, "left"))
+    value = jet_class(2, 2, 3)
     assert value == 6 * class_of_twist(2, 1)
     assert value.coeffs == (6, 6, 6)
     # term-by-term: sum over i <= 2 of [Sym^i Omega^1] * [O(3)]
@@ -48,64 +41,84 @@ def test_second_order_jet_closed_form():
 
 
 def test_jet_class_is_side_independent():
+    # the side is a parameter of the expression language only
     for N in range(1, 5):
         for k in range(1, 4):
             for l in range(-6, 7):
-                assert jet_class(JetSpec(N, k, l, "left")) == jet_class(
-                    JetSpec(N, k, l, "right")
-                )
+                for side in ("left", "right"):
+                    got = evaluate(parse(f"J{k}(O({l}), {side})"), N)
+                    assert got == jet_class(N, k, l)
 
 
 def test_jet_rank_bookkeeping():
     for N in range(1, 6):
         for k in range(1, 5):
-            rank = jet_class(JetSpec(N, k, 3, "left")).coeffs[0]
+            rank = jet_class(N, k, 3).coeffs[0]
             assert rank == binom(N + k, N)
             if k == 1:
                 assert rank == N + 1
 
 
+def _left_splitting(N, l):
+    """The left splitting that prove_non_isomorphic reports, as a sum."""
+    values = step_values(prove_non_isomorphic(N, l), "left structure splits")
+    return LineBundleSum(N, {values["twist"]: values["multiplicity"]})
+
+
 def test_left_splitting_values():
-    assert left_splitting_first_order(3, 2) == LineBundleSum(3, {1: 4})
-    assert left_splitting_first_order(1, 1) == LineBundleSum(1, {0: 2})
-    assert left_splitting_first_order(2, 1) == LineBundleSum(2, {0: 3})
+    assert _left_splitting(3, 2) == LineBundleSum(3, {1: 4})
+    assert _left_splitting(1, 1) == LineBundleSum(1, {0: 2})
+    assert _left_splitting(2, 1) == LineBundleSum(2, {0: 3})
+    assert step_values(prove_non_isomorphic(3, 2), "left structure")["rank"] == 4
 
 
 def test_left_splitting_matches_birkhoff_oracle_on_line():
     for l in range(1, 8):
         split = birkhoff_split(jet_transition(l, "left"))
-        expected = left_splitting_first_order(1, l)
+        expected = _left_splitting(1, l)
         assert expected == LineBundleSum(1, {d: split.degrees.count(d) for d in split.degrees})
 
 
 def test_left_splitting_inapplicable_below_one():
     for l in (0, -1, -5):
-        with pytest.raises(InapplicableError):
-            left_splitting_first_order(2, l)
+        report = prove_non_isomorphic(2, l)
+        assert not any("left structure splits" in s.description for s in report.steps)
 
 
 def test_right_decomposition_values():
-    omega_part, free_part = right_decomposition_first_order(1, 2)
     # on the line Omega^1 (x) O(2) = O(0)
-    assert omega_part == TruncPoly.one(2)
-    assert free_part == LineBundleSum.line(1, 2)
+    values = step_values(prove_non_isomorphic(1, 2), "right structure")
+    assert values["omega_part"] == list(TruncPoly.one(2).coeffs)
+    assert values["free_summand_twist"] == 2
 
-    omega_part, free_part = right_decomposition_first_order(4, 0)
-    assert omega_part == sym_omega(4, 1)
-    assert free_part == LineBundleSum.line(4, 0)
+    values = step_values(prove_non_isomorphic(4, 1), "right structure")
+    assert values["omega_part"] == list((sym_omega(4, 1) * class_of_twist(4, 1)).coeffs)
+    assert values["free_summand_twist"] == 1
 
-    omega_part, free_part = right_decomposition_first_order(2, 1)
-    assert omega_part == sym_omega(2, 1) * class_of_twist(2, 1)
-    assert free_part == LineBundleSum.line(2, 1)
+    values = step_values(prove_non_isomorphic(2, 1), "right structure")
+    assert values["omega_part"] == list((sym_omega(2, 1) * class_of_twist(2, 1)).coeffs)
+    assert values["free_summand_twist"] == 1
 
 
 def test_decompositions_share_the_jet_class():
     for N in range(1, 5):
         for l in range(1, 6):
-            omega_part, free_part = right_decomposition_first_order(N, l)
-            right = omega_part + sum_to_class(free_part)
-            left = sum_to_class(left_splitting_first_order(N, l))
-            assert left == right == jet_class(JetSpec(N, 1, l, "left"))
+            report = prove_non_isomorphic(N, l)
+            values = step_values(report, "class-level consistency")
+            jet = list(jet_class(N, 1, l).coeffs)
+            assert values["left"] == values["right"] == jet
+
+
+def test_unequal_classes_refute_non_isomorphism(monkeypatch):
+    # a class_of_twist that returns [O(2d)] breaks the class-level consistency
+    real = jetcalc.class_of_twist
+    monkeypatch.setattr(jetcalc, "class_of_twist", lambda N, d: real(N, 2 * d))
+    for N, l in ((3, 2), (1, 1), (4, 7)):
+        report = prove_non_isomorphic(N, l)
+        values = step_values(report, "class-level consistency")
+        assert values["left"] != values["right"]
+        assert step_values(report, "H^0(O(-1))")["hom_dim"] == 0
+        assert report.verdict == REFUTED
 
 
 def test_ktheory_equality_line_case():
@@ -131,7 +144,7 @@ def test_ktheory_equality_desk_scale():
 def test_non_isomorphism_certified_for_positive_twists():
     report = prove_non_isomorphic(3, 1)
     assert report.verdict == VERIFIED
-    hom_step = report.step_values("H^0(O(-1))")
+    hom_step = step_values(report, "H^0(O(-1))")
     assert hom_step["hom_dim"] == 0
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from jetk.exact_arith import TruncPoly, binom
-from jetk.jetcalc import JetSpec, jet_class
+from jetk.jetcalc import jet_class
 from jetk.kring import class_of_twist, sum_to_class, sym_omega, sym_power
 from jetk.kring import LineBundleSum
 from jetk.sheafdsl import (
@@ -189,7 +189,7 @@ def test_series_matches_euler_recursion():
         for k in range(1, 7):
             for l in range(-4, 5):
                 got = evaluate(parse(f"J{k}(O({l}), right)"), N)
-                assert got == jet_class(JetSpec(N, k, l, "left"))
+                assert got == jet_class(N, k, l)
 
 
 def _random_split_expr(rng, depth):
