@@ -7,9 +7,12 @@ Two polynomial representations are used throughout the package:
   zeros are stored, never trimmed, so the modulus is always recoverable
   from the length.
 
-* ``LaurentPoly`` -- a one-variable Laurent polynomial with exact rational
-  coefficients, stored sparsely as a map {exponent: Fraction}.  Zero
-  coefficients are never stored; the zero polynomial is the empty map.
+* ``LaurentPoly`` -- a one-variable Laurent polynomial with exact ``int``
+  or ``Fraction`` coefficients, each kept as given, stored sparsely as a
+  map {exponent: coefficient}.  Zero coefficients are never stored; the
+  zero polynomial is the empty map.  It also represents a sum of twists
+  sum_d m_d O(d) as sum_d m_d x^d with x = [O(1)]: '+' is direct sum,
+  '*' is tensor product and ``dual`` substitutes 1/x for x.
 
 The text format for Laurent polynomials is a sum of terms ``c*u^e`` with
 integer or rational ``c`` (written ``p/q``), e.g. ``3*u^-2 + 1 - 1/2*u^3``.
@@ -175,7 +178,7 @@ def _render(terms, var: str, times: str) -> str:
 
 
 class LaurentPoly(Record):
-    """Laurent polynomial in one variable u over the rationals."""
+    """Laurent polynomial in one variable u with int or Fraction coefficients."""
 
     __slots__ = ("_coeffs",)
 
@@ -183,9 +186,10 @@ class LaurentPoly(Record):
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
                 if c != 0:
-                    clean[int(e)] = c
+                    clean[operator.index(e)] = c
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
@@ -194,10 +198,19 @@ class LaurentPoly(Record):
 
     @classmethod
     def monomial(cls, exponent: int, coefficient=1) -> "LaurentPoly":
-        return cls({exponent: Fraction(coefficient)})
+        return cls({exponent: coefficient})
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int):
+        return self._coeffs.get(exponent, 0)
+
+    def items(self):
+        """A read-only view of the (exponent, coefficient) terms."""
+        return self._coeffs.items()
+
+    @property
+    def rank(self):
+        """The sum of the coefficients: the rank of a sum of twists."""
+        return sum(self._coeffs.values())
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -228,7 +241,7 @@ class LaurentPoly(Record):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -250,7 +263,7 @@ class LaurentPoly(Record):
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -258,6 +271,10 @@ class LaurentPoly(Record):
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by u^k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+
+    def dual(self) -> "LaurentPoly":
+        """The polynomial p(1/u); for a sum of twists, its dual."""
+        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative d/du."""

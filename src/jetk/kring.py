@@ -9,8 +9,11 @@ t = 1 - [O(-1)].  For every integer d
 with generalized binomials; for d <= 0 this is (1-t)^(-d).  On P^1 the
 coordinates of a class are (rank, degree) in the basis {1, t}.
 
-Sym^k and Wedge^k of any sum of twists m_d O(d), virtual ones included, are
-the s^k coefficients of prod_d (1 - s O(d))^(-m_d) and prod_d (1 + s O(d))^(m_d).
+A sum of twists sum_d m_d O(d), virtual ones included, is the Laurent
+polynomial sum_d m_d x^d in x = [O(1)], a ``LaurentPoly`` with int
+coefficients; ``sum_to_class`` maps it to its class.  Sym^k and Wedge^k of
+such a sum are the s^k coefficients of prod_d (1 - s O(d))^(-m_d) and
+prod_d (1 + s O(d))^(m_d).
 ``sym_omega`` instead runs the recursion
 
     sum_{i<=k} [Sym^i Omega^1] = binom(N+k, N) * [O(-k)]
@@ -23,94 +26,25 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_arith import Record, TruncPoly, binom
-
-
-class LineBundleSum(Record):
-    """Formal integer combination of twists O(d) on P^N.
-
-    Multiplicities may be negative (virtual classes); zero multiplicities
-    are never stored.
-    """
-
-    __slots__ = ("ambient_dim", "_terms")
-
-    def __init__(self, ambient_dim: int, terms=None) -> None:
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
-        clean = {}
-        if terms:
-            for d, mult in terms.items():
-                if mult != 0:
-                    clean[int(d)] = int(mult)
-        super().__init__(ambient_dim, clean)
-
-    @classmethod
-    def line(cls, ambient_dim: int, d: int, mult: int = 1) -> "LineBundleSum":
-        return cls(ambient_dim, {d: mult})
-
-    @property
-    def rank(self) -> int:
-        return sum(self._terms.values())
-
-    @property
-    def degree(self) -> int:
-        return sum(d * m for d, m in self._terms.items())
-
-    def __add__(self, other):
-        if not isinstance(other, LineBundleSum):
-            return NotImplemented
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        out = dict(self._terms)
-        for d, m in other._terms.items():
-            out[d] = out.get(d, 0) + m
-        return LineBundleSum(self.ambient_dim, out)
-
-    def tensor(self, other: "LineBundleSum") -> "LineBundleSum":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        out = {}
-        for d1, m1 in self._terms.items():
-            for d2, m2 in other._terms.items():
-                d = d1 + d2
-                out[d] = out.get(d, 0) + m1 * m2
-        return LineBundleSum(self.ambient_dim, out)
-
-    def dual(self) -> "LineBundleSum":
-        return LineBundleSum(self.ambient_dim, {-d: m for d, m in self._terms.items()})
-
-    def __hash__(self):  # Record's would hash the dict of terms
-        return hash((self.ambient_dim, frozenset(self._terms.items())))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for d in sorted(self._terms, reverse=True):
-            m = self._terms[d]
-            parts.append(f"O({d})" if m == 1 else f"O({d})^{m}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LineBundleSum(N={self.ambient_dim}, {self._terms})"
+from .exact_arith import LaurentPoly, TruncPoly, binom
 
 
 def class_of_twist(N: int, d: int) -> TruncPoly:
     """The class of O(d) in K(P^N)."""
-    return sum_to_class(LineBundleSum.line(N, d))
+    return sum_to_class(LaurentPoly.monomial(d), N)
 
 
-def sum_to_class(s: LineBundleSum) -> TruncPoly:
-    """Evaluate a sum of twists to its class; additive and multiplicative.
+def sum_to_class(s: LaurentPoly, N: int) -> TruncPoly:
+    """The class in K(P^N) of a sum of twists; additive and multiplicative.
 
     m O(d) adds c_i = m * binom(d+i-1, i) to the coefficient of t^i, by the
     ratio c_i = c_{i-1} * (d+i-1) / i, which reaches 0 and stays there
     exactly when d <= 0.
     """
-    N = s.ambient_dim
+    if N < 1:
+        raise ValueError("N must be positive")
     coeffs = [0] * (N + 1)
-    for d, c in s._terms.items():
+    for d, c in s.items():
         coeffs[0] += c
         for i in range(1, N + 1):
             c = c * (d + i - 1) // i
@@ -120,13 +54,13 @@ def sum_to_class(s: LineBundleSum) -> TruncPoly:
     return TruncPoly(N + 1, coeffs)
 
 
-def _series_coefficient(s: LineBundleSum, k: int, sign: int) -> LineBundleSum:
+def _series_coefficient(s: LaurentPoly, k: int, sign: int) -> LaurentPoly:
     """The s^k coefficient of prod_d (1 + sign*s*O(d))^(sign*m_d), whose
     factors expand to sum_r sign^r * binom(sign*m_d, r) * s^r O(r*d)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     series = [{0: 1}] + [{}] * k
-    for d, m in s._terms.items():
+    for d, m in s.items():
         factor = [sign**r * binom(sign * m, r) for r in range(k + 1)]
         product = []
         for j in range(k + 1):
@@ -137,15 +71,15 @@ def _series_coefficient(s: LineBundleSum, k: int, sign: int) -> LineBundleSum:
                         out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
             product.append(out)
         series = product
-    return LineBundleSum(s.ambient_dim, series[k])
+    return LaurentPoly(series[k])
 
 
-def sym_power(s: LineBundleSum, k: int) -> LineBundleSum:
+def sym_power(s: LaurentPoly, k: int) -> LaurentPoly:
     """Sym^k of any sum: the s^k coefficient of prod_d (1 - s O(d))^(-m_d)."""
     return _series_coefficient(s, k, -1)
 
 
-def wedge_power(s: LineBundleSum, k: int) -> LineBundleSum:
+def wedge_power(s: LaurentPoly, k: int) -> LaurentPoly:
     """Wedge^k of any sum: the s^k coefficient of prod_d (1 + s O(d))^(m_d)."""
     return _series_coefficient(s, k, 1)
 

@@ -368,7 +368,7 @@ def dlog_of_monomial(g: LaurentPoly) -> LaurentPoly:
     return g.derivative() * LaurentPoly.monomial(-e, Fraction(1) / c)
 
 
-def atiyah_class_p1(l: int) -> Fraction:
+def atiyah_class_p1(l: int) -> int | Fraction:
     """Atiyah class of O(l) on the line: the residue of dlog(u^l).
 
     Equals l under the declared sign convention; zero exactly at l = 0,

@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 
 from . import jetcalc, kring
-from .exact_arith import Record, TruncPoly
-from .kring import LineBundleSum
+from .exact_arith import LaurentPoly, Record, TruncPoly
 
 
 class ParseError(ValueError):
@@ -356,19 +355,20 @@ def print_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _value(e, N: int) -> LineBundleSum:
-    """An expression as a formal sum of twists.  J^k(O(l)) telescopes to
-    sum_{i<=k} Sym^i Omega (x) O(l), which is Sym^k(Omega + O) (x) O(l)."""
+def _value(e, N: int) -> LaurentPoly:
+    """An expression as a formal sum of twists, a Laurent polynomial in
+    [O(1)].  J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l), which
+    is Sym^k(Omega + O) (x) O(l), and Omega + O = (N+1) O(-1)."""
     if isinstance(e, Twist):
-        return LineBundleSum.line(N, e.d)
+        return LaurentPoly.monomial(e.d)
     if isinstance(e, Structure):
-        return LineBundleSum.line(N, 0)
+        return LaurentPoly.monomial(0)
     if isinstance(e, Omega):
-        return LineBundleSum(N, {-1: N + 1, 0: -1})
+        return LaurentPoly({-1: N + 1, 0: -1})
     if isinstance(e, Sum):
         return _value(e.left, N) + _value(e.right, N)
     if isinstance(e, Tensor):
-        return _value(e.left, N).tensor(_value(e.right, N))
+        return _value(e.left, N) * _value(e.right, N)
     if isinstance(e, Dual):
         return _value(e.arg, N).dual()
     if isinstance(e, Sym):
@@ -376,8 +376,7 @@ def _value(e, N: int) -> LineBundleSum:
     if isinstance(e, Wedge):
         return kring.wedge_power(_value(e.arg, N), e.power)
     if isinstance(e, Jet):
-        omega_plus_one = _value(Omega(), N) + LineBundleSum.line(N, 0)
-        return kring.sym_power(omega_plus_one, e.order).tensor(_value(e.arg, N))
+        return kring.sym_power(LaurentPoly({-1: N + 1}), e.order) * _value(e.arg, N)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -385,4 +384,4 @@ def evaluate(e, N: int) -> TruncPoly:
     """Evaluate an expression to its class in K(P^N)."""
     if N < 1:
         raise ValueError("N must be positive")
-    return kring.sum_to_class(_value(e, N))
+    return kring.sum_to_class(_value(e, N), N)

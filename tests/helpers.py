@@ -32,6 +32,11 @@ def inverse(p: TruncPoly) -> TruncPoly:
     return TruncPoly(m, inv)
 
 
+def degree(s) -> int:
+    """The degree of a sum of twists: sum of d * m_d over its terms m_d O(d)."""
+    return sum(d * m for d, m in s.items())
+
+
 def section_count(splitting) -> int:
     """h^0 of the split bundle with these degrees: sum of max(0, d+1)."""
     return sum(max(0, d + 1) for d in splitting.degrees)

@@ -6,10 +6,9 @@ per-criterion lines on success.
 
 import random
 
-from jetk.exact_arith import TruncPoly, binom
+from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.jetcalc import jet_class, prove_non_isomorphic, verify_ktheory_equality
 from jetk.kring import (
-    LineBundleSum,
     class_of_twist,
     sum_to_class,
     sym_omega,
@@ -27,7 +26,7 @@ from jetk.p1lab import (
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
 from jetk.sheafdsl import Sum, Tensor, evaluate, parse, print_expr
 
-from helpers import inverse, section_count, step_values
+from helpers import degree as sum_degree, inverse, section_count, step_values
 from matrixgen import matmul, random_unimodular
 from test_sheafdsl import _random_expr, _random_split_expr
 
@@ -56,11 +55,11 @@ def test_criterion_2_line_coordinates():
     rng = random.Random(52)
     for _ in range(50):
         terms = {rng.randint(-9, 9): rng.randint(-5, 5) for _ in range(rng.randint(1, 5))}
-        s = LineBundleSum(1, terms)
+        s = LaurentPoly(terms)
         degree = sum(d * m for d, m in terms.items() if m != 0)
         rank = sum(m for m in terms.values() if m != 0)
-        assert (s.degree, s.rank) == (degree, rank)
-        assert sum_to_class(s).coeffs == (rank, degree)
+        assert (sum_degree(s), s.rank) == (degree, rank)
+        assert sum_to_class(s, 1).coeffs == (rank, degree)
     _passed(2, "P^1 coordinates and deg/rk")
 
 

@@ -88,7 +88,7 @@ def test_size_flags_are_bounded(capsys):
             assert run([*argv, *mode]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            limit = cli.MAX_N if flag == "-N" else sheafdsl.MAX_POWER
+            limit = sheafdsl.MAX_POWER if flag == "-k" else cli.MAX_N
             assert captured.err == f"error: {flag} {value} exceeds the limit of {limit}\n"
 
     huge = "100000000000"
@@ -99,12 +99,16 @@ def test_size_flags_are_bounded(capsys):
     over_n, over_k = str(cli.MAX_N + 1), str(sheafdsl.MAX_POWER + 1)
     rejected(["kclass", "-N", over_n, "O"], "-N", over_n)
     rejected(["verify", "ktheory", "-N", "3", "-k", over_k, "-l", "0"], "-k", over_k)
+    for lmin, lmax in ((-100000, 100000), (0, cli.MAX_N + 1)):
+        argv = ["table", "jets", "-N", "1", "--lmin", str(lmin), "--lmax", str(lmax)]
+        rejected(argv, "--lmax - --lmin =", str(lmax - lmin))
     # the limits themselves are admitted; every N that README, tests and
     # perfbench use (at most 300) lies below them
     assert cli.MAX_N >= 300
     assert run(["kclass", "-N", str(cli.MAX_N), "O(1)"]) == 0
     argv = ["verify", "mainsplit", "-N", str(cli.MAX_N), "-k", str(sheafdsl.MAX_POWER), "-l", "1"]
     assert run(argv) == 0
+    assert run(["table", "jets", "-N", "1", "--lmin", "-500", "--lmax", str(cli.MAX_N - 500)]) == 0
     capsys.readouterr()
 
 

@@ -166,6 +166,14 @@ def test_laurent_zero_pruned():
     assert (u(3) - u(3)).is_zero()
     assert LaurentPoly({5: 0}).is_zero()
     assert LaurentPoly.zero().min_degree is None
+    # coefficients are kept as given, and only exact ones are accepted
+    assert type(LaurentPoly({1: 2}).coefficient(1)) is int
+    assert type(LaurentPoly({1: Fraction(2)}).coefficient(1)) is Fraction
+    for bad in (0.1, 2.0, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(3, bad)
 
 
 def test_laurent_degree_bounds_multiplicative():

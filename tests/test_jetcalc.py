@@ -3,9 +3,9 @@
 import pytest
 
 from jetk import jetcalc
-from jetk.exact_arith import TruncPoly, binom
+from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.jetcalc import jet_class, prove_non_isomorphic, verify_ktheory_equality
-from jetk.kring import LineBundleSum, class_of_twist, sym_omega
+from jetk.kring import class_of_twist, sym_omega
 from jetk.p1lab import birkhoff_split, jet_transition
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
 from jetk.sheafdsl import evaluate, parse
@@ -62,13 +62,13 @@ def test_jet_rank_bookkeeping():
 def _left_splitting(N, l):
     """The left splitting that prove_non_isomorphic reports, as a sum."""
     values = step_values(prove_non_isomorphic(N, l), "left structure splits")
-    return LineBundleSum(N, {values["twist"]: values["multiplicity"]})
+    return LaurentPoly({values["twist"]: values["multiplicity"]})
 
 
 def test_left_splitting_values():
-    assert _left_splitting(3, 2) == LineBundleSum(3, {1: 4})
-    assert _left_splitting(1, 1) == LineBundleSum(1, {0: 2})
-    assert _left_splitting(2, 1) == LineBundleSum(2, {0: 3})
+    assert _left_splitting(3, 2) == LaurentPoly({1: 4})
+    assert _left_splitting(1, 1) == LaurentPoly({0: 2})
+    assert _left_splitting(2, 1) == LaurentPoly({0: 3})
     assert step_values(prove_non_isomorphic(3, 2), "left structure")["rank"] == 4
 
 
@@ -76,7 +76,7 @@ def test_left_splitting_matches_birkhoff_oracle_on_line():
     for l in range(1, 8):
         split = birkhoff_split(jet_transition(l, "left"))
         expected = _left_splitting(1, l)
-        assert expected == LineBundleSum(1, {d: split.degrees.count(d) for d in split.degrees})
+        assert expected == LaurentPoly({d: split.degrees.count(d) for d in split.degrees})
 
 
 def test_left_splitting_inapplicable_below_one():

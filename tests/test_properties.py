@@ -14,6 +14,7 @@ from jetk.sheafdsl import (
     Tensor,
     Twist,
     Wedge,
+    _value,
     evaluate,
     parse,
     print_expr,
@@ -59,3 +60,9 @@ def test_evaluate_maps_sum_and_tensor_to_ring_operations(a, b, N):
     assert isinstance(x, TruncPoly) and x.modulus_exponent == N + 1
     assert evaluate(Sum(a, b), N) == x + y
     assert evaluate(Tensor(a, b), N) == x * y
+
+
+@FIXED
+@given(expressions(3), st.integers(1, 4))
+def test_twist_sums_stay_integral(e, N):
+    assert all(type(c) is int for _, c in _value(e, N).items())

@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from jetk.exact_arith import TruncPoly, binom
+from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.jetcalc import jet_class
 from jetk.kring import class_of_twist, sum_to_class, sym_omega, sym_power
-from jetk.kring import LineBundleSum
 from jetk.sheafdsl import (
     MAX_DEPTH,
     MAX_POWER,
@@ -136,10 +135,10 @@ def test_evaluate_sym_omega_tensor():
 
 def test_evaluate_split_operations():
     got = evaluate(parse("Sym2(O(1) + O(0))"), 1)
-    expected = sum_to_class(sym_power(LineBundleSum(1, {1: 1, 0: 1}), 2))
+    expected = sum_to_class(sym_power(LaurentPoly({1: 1, 0: 1}), 2), 1)
     assert got == expected
     assert evaluate(parse("dual(O(3) + O(-1))"), 2) == sum_to_class(
-        LineBundleSum(2, {-3: 1, 1: 1})
+        LaurentPoly({-3: 1, 1: 1}), 2
     )
     assert evaluate(parse("Wedge2(O(1) + O(4))"), 1) == class_of_twist(1, 5)
 
