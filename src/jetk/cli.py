@@ -42,15 +42,22 @@ _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
 MAX_N = 1000
 
 
+def _printed(value) -> str:
+    """str(value), with jetk's own message for an int too long to print."""
+    try:
+        return str(value)
+    except ValueError:  # only int -> str conversion can fail here
+        raise ValueError(
+            "a coefficient of the result has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _encode(value):
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (int, Fraction)):
+        return _printed(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (list, tuple)):
@@ -112,13 +119,7 @@ def _require(args, names: list, claim: str) -> None:
 def _cmd_kclass(args):
     expr = sheafdsl.parse(args.expr)
     value = sheafdsl.evaluate(expr, args.N)
-    try:
-        rendered = str(value)
-    except ValueError:  # only int -> str conversion can fail here
-        raise ValueError(
-            "a coefficient of the result has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+    rendered = _printed(value)
     report = Report(
         "kclass",
         {"N": args.N, "expr": args.expr},
@@ -192,7 +193,7 @@ def _cmd_birkhoff(args):
         [
             Step(
                 "ingested matrix",
-                {"rows": [" ; ".join(str(e) for e in row) for row in matrix.rows()]},
+                {"rows": str(matrix).splitlines()},
             ),
             Step(
                 "determinant monomial",

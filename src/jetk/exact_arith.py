@@ -15,8 +15,8 @@ Two polynomial representations are used throughout the package:
   '*' is tensor product and ``dual`` substitutes 1/x for x.
 
 The text format for Laurent polynomials is a sum of terms ``c*u^e`` with
-integer or rational ``c`` (written ``p/q``), e.g. ``3*u^-2 + 1 - 1/2*u^3``.
-Whitespace is insignificant.
+integer ``c``, read as an ``int``, or rational ``c`` written ``p/q``, read as
+a ``Fraction``, e.g. ``3*u^-2 + 1 - 1/2*u^3``.  Whitespace is insignificant.
 """
 
 from __future__ import annotations
@@ -301,31 +301,24 @@ def laurent_from_string(text: str) -> LaurentPoly:
     if not compact:
         raise ValueError("empty Laurent polynomial text")
     # Split into sign-prefixed terms.  A '-' directly after '^' is an
-    # exponent sign, not a term separator.  A leading '+' is permitted.
+    # exponent sign, not a term separator.  A leading '+' is permitted;
+    # the split leaves an empty piece before the first sign.
     if compact[0] not in "+-":
         compact = "+" + compact
-    terms = []
-    current = ""
-    for ch in compact:
-        if ch in "+-" and current and not current.endswith("^"):
-            terms.append(current)
-            current = ch
-        else:
-            current += ch
-    terms.append(current)
     result = {}
-    for term in terms:
+    for term in re.split(r"(?<!\^)(?=[+-])", compact)[1:]:
         sign = -1 if term[0] == "-" else 1
         m = _TERM_RE.match(term[1:])
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"malformed term {term!r} in {text!r}")
+        coeff = m.group("coeff") or "1"
         try:
-            coeff = Fraction(m.group("coeff") or 1)
+            coeff = Fraction(coeff) if "/" in coeff else int(coeff)
+            exp = int(m.group("exp") or 1) if m.group("var") else 0
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {term!r} of {text!r}") from None
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
-        result[exp] = result.get(exp, Fraction(0)) + sign * coeff
+        except ValueError:  # more digits than int() converts
+            digits = max(len(d) for d in re.findall(r"\d+", term))
+            raise ValueError(f"a number of {digits} digits is too long") from None
+        result[exp] = result.get(exp, 0) + sign * coeff
     return LaurentPoly(result)

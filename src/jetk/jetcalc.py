@@ -23,8 +23,6 @@ from .exact_arith import TruncPoly, binom
 from .kring import class_of_twist, cohomology_dim, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
-SIDES = ("left", "right")
-
 
 def jet_class(N: int, k: int, l: int) -> TruncPoly:
     """[J^k(O(l))] on P^N; the same for both sides."""

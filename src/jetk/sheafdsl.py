@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 
-from . import jetcalc, kring
+from . import kring
 from .exact_arith import LaurentPoly, Record, TruncPoly
+
+SIDES = ("left", "right")  # the two module structures of a jet bundle
 
 
 class ParseError(ValueError):
@@ -100,7 +102,7 @@ class Jet(Record):
             raise ValueError("jet order must be at least 1")
         if not isinstance(arg, Twist):
             raise ValueError("jet argument must be a twist")
-        if side not in jetcalc.SIDES:
+        if side not in SIDES:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         super().__init__(order, arg, side)
 
@@ -309,7 +311,7 @@ class _Parser:
             self.toks.expect(")", "')'")
             self.toks.expect(",", "','")
             stok = self.toks.expect("word", "'left' or 'right'")
-            if stok[1] not in jetcalc.SIDES:
+            if stok[1] not in SIDES:
                 raise ParseError(stok[2], {"'left'", "'right'"}, repr(stok[1]))
             self.toks.expect(")", "')'")
             # Sym^k of the single twist (N+1) O(-1), tensored with O(l)

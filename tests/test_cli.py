@@ -265,6 +265,39 @@ def test_birkhoff_file_errors(tmp_path, capsys):
     zero_denominator.write_text("u ; 1/0\n0 ; 1\n", encoding="utf-8")
     assert run(["birkhoff", "--matrix", str(zero_denominator)]) == 2
     assert "zero denominator in term '+1/0'" in capsys.readouterr().err
+    # more rows than the cofactor determinant can afford
+    rank9 = tmp_path / "rank9.txt"
+    rank9.write_text(
+        "\n".join(" ; ".join("1" if i == j else "0" for j in range(9)) for i in range(9)),
+        encoding="utf-8",
+    )
+    assert run(["birkhoff", "--matrix", str(rank9)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a matrix of 9 rows exceeds the limit of {p1lab.MAX_RANK}\n"
+    )
+    # a literal past the digits int() converts, as a coefficient or an
+    # exponent, is named by its length, not echoed
+    for entry in ("9" * 5000 + "*u", "u^" + "9" * 5000, "1/" + "7" * 5000):
+        long_literal = tmp_path / "long.txt"
+        long_literal.write_text(f"{entry} ; 0\n0 ; 1\n", encoding="utf-8")
+        assert run(["birkhoff", "--matrix", str(long_literal)]) == 2
+        assert capsys.readouterr().err == "error: a number of 5000 digits is too long\n"
+
+
+def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
+    # the determinant coefficient c^2 has 5999 digits; text mode never prints it
+    c = "7" * 3000
+    path = tmp_path / "matrix.txt"
+    path.write_text(f"{c}*u ; 0\n0 ; {c}\n", encoding="utf-8")
+    assert run(["birkhoff", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == "{0, 1}\n"
+    assert run(["birkhoff", "--matrix", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a coefficient of the result has more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
 
 
 def test_table_text_sorted(capsys):

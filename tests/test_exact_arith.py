@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetk.exact_arith import LaurentPoly, TruncPoly, binom, laurent_from_string
 
@@ -206,19 +208,21 @@ def test_laurent_text_whitespace_insignificant():
     )
 
 
-def test_laurent_text_round_trip():
-    rng = random.Random(31)
-    corpus = [
-        LaurentPoly(
-            {
-                rng.randint(-8, 8): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(rng.randint(0, 5))
-            }
-        )
-        for _ in range(40)
-    ]
-    for p in corpus:
-        assert laurent_from_string(str(p)) == p
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(
+        st.integers(-12, 12),
+        st.integers(-10**6, 10**6) | st.fractions(max_denominator=30),
+        max_size=6,
+    )
+)
+def test_laurent_text_round_trip(coeffs):
+    p = LaurentPoly(coeffs)
+    parsed = laurent_from_string(str(p))
+    assert parsed == p
+    # an integral coefficient comes back as an int, any other as a Fraction
+    for e, c in p.items():
+        assert (type(parsed.coefficient(e)) is int) == (c.denominator == 1)
 
 
 def test_laurent_text_rejects_malformed():
