@@ -48,7 +48,7 @@ def _printed(value) -> str:
         return str(value)
     except ValueError:  # only int -> str conversion can fail here
         raise ValueError(
-            "a coefficient of the result has more than "
+            "a number in the result has more than "
             f"{sys.get_int_max_str_digits()} digits"
         ) from None
 

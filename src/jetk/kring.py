@@ -19,7 +19,8 @@ prod_d (1 + s O(d))^(m_d).
     sum_{i<=k} [Sym^i Omega^1] = binom(N+k, N) * [O(-k)]
 
 induced by the Euler sequence 0 -> Omega^1 -> O(-1)^(N+1) -> O -> 0.  It
-shares no code with the series, so each checks the other.
+shares no code with the series and no answer comes from it: it is the
+reference ``jetcalc.verify_ktheory_equality`` checks the series against.
 """
 
 from __future__ import annotations

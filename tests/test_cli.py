@@ -70,7 +70,7 @@ def test_deep_expressions_are_input_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: a coefficient of the result has more than "
+            "error: a number in the result has more than "
             f"{sys.get_int_max_str_digits()} digits\n"
         )
     # the largest power and order, and the largest kclass shapes of the
@@ -109,6 +109,18 @@ def test_size_flags_are_bounded(capsys):
     argv = ["verify", "mainsplit", "-N", str(cli.MAX_N), "-k", str(sheafdsl.MAX_POWER), "-l", "1"]
     assert run(argv) == 0
     assert run(["table", "jets", "-N", "1", "--lmin", "-500", "--lmax", str(cli.MAX_N - 500)]) == 0
+    capsys.readouterr()
+    # verify ktheory charges its Euler recursion against sheafdsl.MAX_WORK
+    # before computing; the benchmark's and README's shapes stay admitted
+    for N, k in (("1000", "1000"), ("3", "1000"), ("200", "300")):
+        for mode in ([], ["--json"]):
+            assert run(["verify", "ktheory", "-N", N, "-k", k, "-l", "0", *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: -N {N} -k {k} needs about ")
+            assert captured.err.endswith(f"over the budget of {sheafdsl.MAX_WORK}\n")
+    for N, k, l in (("90", "90", "0"), ("40", "40", "3"), ("4", "3", "7")):
+        assert run(["verify", "ktheory", "-N", N, "-k", k, "-l", l]) == 0
     capsys.readouterr()
 
 
@@ -295,7 +307,19 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: a coefficient of the result has more than "
+        "error: a number in the result has more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    # the degrees print, but the determinant exponent has one digit more
+    n = "9" * sys.get_int_max_str_digits()
+    path.write_text(f"u^{n} ; 0\n0 ; u^{n}\n", encoding="utf-8")
+    assert run(["birkhoff", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == f"{{{n}, {n}}}\n"
+    assert run(["birkhoff", "--matrix", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a number in the result has more than "
         f"{sys.get_int_max_str_digits()} digits\n"
     )
 

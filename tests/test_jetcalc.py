@@ -2,7 +2,7 @@
 
 import pytest
 
-from jetk import jetcalc
+from jetk import jetcalc, kring
 from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.jetcalc import jet_class, prove_non_isomorphic, verify_ktheory_equality
 from jetk.kring import class_of_twist, sym_omega
@@ -125,12 +125,39 @@ def test_ktheory_equality_line_case():
     report = verify_ktheory_equality(1, 1, 2)
     assert report.verdict == VERIFIED
     sides = [s.values["coefficients"] for s in report.steps if "coefficients" in s.values]
-    assert sides == [[2, 2], [2, 2]]
+    assert sides == [[2, 2], [2, 2], [2, 2]]
 
 
 def test_ktheory_equality_rejects_order_zero():
     with pytest.raises(ValueError):
         verify_ktheory_equality(1, 0, 2)
+
+
+def test_ktheory_equality_is_bounded_before_computing():
+    with pytest.raises(ValueError, match="over the budget"):
+        verify_ktheory_equality(1000, 1000, 0)
+    # a negative order is the jet's own input error, not a budget overrun
+    with pytest.raises(ValueError, match="jet order"):
+        verify_ktheory_equality(3, -5000, 0)
+    assert verify_ktheory_equality(90, 90, 0).verdict == VERIFIED
+
+
+def test_ktheory_certificate_refutes_a_wrong_twist_class(monkeypatch):
+    # the series never calls class_of_twist, so [O(2d)] in place of [O(d)]
+    # moves the recursion and the closed form away from it; cached
+    # sym_omega classes would hide the patch, and must not outlive it
+    real = kring.class_of_twist
+    kring.sym_omega.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            for module in (kring, jetcalc):
+                patch.setattr(module, "class_of_twist", lambda N, d: real(N, 2 * d))
+            for N, k, l in ((3, 2, 5), (4, 3, 7), (10, 10, -3), (1, 1, 2)):
+                assert verify_ktheory_equality(N, k, l).verdict == REFUTED
+            # at l = k every side is binom(N+k, N) * [O(0)]: no class tells
+            assert verify_ktheory_equality(1, 1, 1).verdict == VERIFIED
+    finally:
+        kring.sym_omega.cache_clear()
 
 
 def test_ktheory_equality_desk_scale():
