@@ -290,8 +290,8 @@ class LaurentPoly(Record):
         return f"LaurentPoly({dict(sorted(self._coeffs.items()))})"
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<var>u(?:\^(?P<exp>-?\d+))?)?$"
+_TERM_RE = re.compile(  # ASCII digits only: int() would also read '٣' as 3
+    r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<var>u(?:\^(?P<exp>-?\d+))?)?$", re.ASCII
 )
 
 

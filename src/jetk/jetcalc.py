@@ -23,7 +23,7 @@ from __future__ import annotations
 from .exact_arith import TruncPoly, binom
 from .kring import class_of_twist, cohomology_dim, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
-from .sheafdsl import MAX_WORK, Jet, Omega, Tensor, Twist, evaluate
+from .sheafdsl import Jet, Omega, Tensor, Twist, charge, evaluate
 
 
 def jet_class(N: int, k: int, l: int) -> TruncPoly:
@@ -37,12 +37,10 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     that of either module structure.  A refutation would indicate a bug.
     More than ``sheafdsl.MAX_WORK`` predicted operations is a ValueError.
     """
-    # The recursion takes about k^2 (N+26) / 2 coefficient operations, each
-    # 0.3-0.7 us on a 2-vCPU machine (N <= 1000, k <= 600): at most ~7 s.
-    work = k * k * (N + 26) // 2
-    if k > 0 and work > MAX_WORK:
-        raise ValueError(f"-N {N} -k {k} needs about {work} coefficient "
-                         f"operations, over the budget of {MAX_WORK}")
+    # The recursion takes about k^2 (N+26) / 2 ring coefficient operations,
+    # 0.25-0.44 us each on a 2-vCPU machine (N, k <= 1000): 1.5 units each.
+    if k > 0:
+        charge(0, 3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
     series = jet_class(N, k, l)
     twist_class = class_of_twist(N, l)
     telescoped = TruncPoly.zero(N + 1)

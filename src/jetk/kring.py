@@ -62,7 +62,9 @@ def _series_coefficient(s: LaurentPoly, k: int, sign: int) -> LaurentPoly:
         raise ValueError("k must be nonnegative")
     series = [{0: 1}] + [{}] * k
     for d, m in s.items():
-        factor = [sign**r * binom(sign * m, r) for r in range(k + 1)]
+        factor = [1]  # sign^r binom(sign*m, r), by the ratio of consecutive terms
+        for r in range(1, k + 1):
+            factor.append(factor[-1] * (m - sign * (r - 1)) // r)
         product = []
         for j in range(k + 1):
             out = {}

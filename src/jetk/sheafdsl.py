@@ -1,6 +1,6 @@
 """A small expression language for sheaf classes on P^N.
 
-Grammar (whitespace insignificant, integers may be negative):
+Grammar (whitespace insignificant, ASCII digits, integers may be negative):
 
     expr   := term ('+' term)*
     term   := factor ('*' factor)*
@@ -14,9 +14,9 @@ Grammar (whitespace insignificant, integers may be negative):
 A bare 'O' is the structure sheaf.  The jet argument is a single twist;
 its side does not change the class, but splitting queries dispatch on it.
 Evaluation maps every node to a sum of twists, with Omega = (N+1) O(-1) - O
-by the Euler sequence, so every expression the grammar accepts has a class.
-Powers and jet orders are at most MAX_POWER, and the parser predicts the
-work of the powers and products an expression asks for (see MAX_WORK).
+by the Euler sequence.  Powers and jet orders are at most MAX_POWER; the
+interpreter charges each power, product and the final map to K(P^N) against
+the work budget MAX_WORK from the real operands and N before running it.
 """
 
 from __future__ import annotations
@@ -37,19 +37,15 @@ class ParseError(ValueError):
         self.expected = frozenset(expected)
         self.found = found
         wanted = ", ".join(sorted(self.expected))
-        super().__init__(
-            f"at position {position}: expected {wanted}, found {found}"
-        )
+        super().__init__(f"at position {position}: "
+                         + (f"expected {wanted}, found {found}" if wanted else found))
 
 
 class RangeError(ParseError):
     """A structurally valid expression with an out-of-range parameter or depth."""
 
     def __init__(self, position: int, message: str):
-        self.position = position
-        self.expected = frozenset()
-        self.found = message
-        ValueError.__init__(self, f"at position {position}: {message}")
+        super().__init__(position, (), message)
 
 
 class Twist(Record):
@@ -76,22 +72,21 @@ class Dual(Record):
     __slots__ = ("arg",)
 
 
-class Sym(Record):
-    __slots__ = ("power", "arg")
+class _Power(Record):
+    __slots__ = ()
 
     def __init__(self, power: int, arg) -> None:
         if power < 0:
-            raise ValueError("Sym power must be nonnegative")
+            raise ValueError(f"{type(self).__name__} power must be nonnegative")
         super().__init__(power, arg)
 
 
-class Wedge(Record):
+class Sym(_Power):
     __slots__ = ("power", "arg")
 
-    def __init__(self, power: int, arg) -> None:
-        if power < 0:
-            raise ValueError("Wedge power must be nonnegative")
-        super().__init__(power, arg)
+
+class Wedge(_Power):
+    __slots__ = ("power", "arg")
 
 
 class Jet(Record):
@@ -107,36 +102,43 @@ class Jet(Record):
         super().__init__(order, arg, side)
 
 
-_SYMBOLS = "()+*,-"
+_FACTOR_EXPECTED = {"'O'", "'Omega'", "'dual'", "'Sym'", "'Wedge'", "'J'", "'('"}
 
 
-class _Tokenizer:
+# Deepest tree the parser builds.  Parsing, evaluating and comparing a tree
+# recurse per level, so this stays well below the recursion limit (1000).
+MAX_DEPTH = 100
+
+# Largest Sym/Wedge power and jet order.  The series behind them costs about
+# power^2 products of twist sums, so larger ones would not finish.
+MAX_POWER = 1000
+
+_SYMBOLS, _DIGITS = "()+*,-", "0123456789"  # ASCII: int() would also read '٣' as 3
+
+
+class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        n = len(text)
+        self.tokens, pos, n = [], 0, len(text)
         while pos < n:
-            ch = text[pos]
+            ch, start = text[pos], pos
             if ch.isspace():
                 pos += 1
-            elif ch in _SYMBOLS:
-                self.tokens.append((ch, ch, pos))
-                pos += 1
-            elif ch.isdecimal():  # int() converts these; isdigit() also takes '²'
-                start = pos
-                while pos < n and text[pos].isdecimal():
+                continue
+            if ch in _SYMBOLS:
+                kind, pos = ch, pos + 1
+            elif ch in _DIGITS:
+                kind = "nat"
+                while pos < n and text[pos] in _DIGITS:
                     pos += 1
-                self.tokens.append(("nat", text[start:pos], start))
             elif ch.isalpha():
-                start = pos
+                kind = "word"
                 while pos < n and text[pos].isalpha():
                     pos += 1
-                self.tokens.append(("word", text[start:pos], start))
             else:
                 raise ParseError(pos, {"a token"}, repr(ch))
+            self.tokens.append((kind, text[start:pos], start))
         self.tokens.append(("end", "", n))
-        self.index = 0
+        self.index = self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -153,114 +155,49 @@ class _Tokenizer:
             raise ParseError(tok[2], {description}, repr(tok[1]) if tok[1] else "end of input")
         return self.advance()
 
-
-_FACTOR_EXPECTED = {"'O'", "'Omega'", "'dual'", "'Sym'", "'Wedge'", "'J'", "'('"}
-
-
-# Deepest tree the parser builds.  Parsing, evaluating and comparing a tree
-# recurse per level, so this stays well below the recursion limit (1000).
-MAX_DEPTH = 100
-
-# Largest Sym/Wedge power and jet order.  The series behind them costs about
-# power^2 products of twist sums, so larger ones would not finish.
-MAX_POWER = 1000
-
-# Most work an expression may predict, counted in products of a coefficient
-# with a term.  Sym^k or Wedge^k of n twists multiplies n factor series into
-# k+1 partial sums whose levels hold at most `held` twists: n * k^2 * held.
-# A tensor of n1 and n2 twists takes n1 * n2.  Sym1000(O(1) + O(2)) predicts
-# 2e6 and J1000(O(0), left) 1e6; a sum of five such powers runs in about 2 s
-# on a 2-vCPU machine.  A power of a power grows like k^5 in this count and
-# about k^4 in run time: Sym80(Sym80(O(1) + O(2))) predicts 3e9 and did not
-# finish in a minute.
-MAX_WORK = 10**7
-
-
-def _shape(lo: int, hi: int, n: int) -> tuple:
-    """What the parser predicts of a value: its twists lie in [lo, hi] and
-    number at most n."""
-    return lo, hi, min(n, hi - lo + 1)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
-        self.depth = 0
-        self.work = 0
-
-    def parse(self):
-        expr, _ = self._expr()
-        tok = self.toks.peek()
-        if tok[0] != "end":
-            raise ParseError(tok[2], {"'+'", "'*'", "end of input"}, repr(tok[1]))
-        return expr
-
     def _nest(self, position: int) -> None:
         """Count one level of the tree being built: a group or a Sum/Tensor link."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise RangeError(position, f"expression nests deeper than {MAX_DEPTH} levels")
 
-    def _charge(self, work: int, position: int) -> None:
-        self.work += work
-        if self.work > MAX_WORK:
-            raise RangeError(position, f"expression needs about {self.work} term "
-                                       f"products, over the budget of {MAX_WORK}")
-
-    def _power(self, shape: tuple, k: int, position: int) -> tuple:
-        """The shape of Sym^k or Wedge^k of a value of this shape; charges its series."""
-        lo, hi, n = shape
-        span = k * (hi - lo) + 1
-        held = 1 if n == 1 else min(math.comb(n + k - 2, k), span)
-        self._charge(n * k * k * held, position)
-        return _shape(k * lo, k * hi, math.comb(n + k - 1, k))
-
-    # Each of _group, _expr, _term and _factor returns (node, shape).
-
-    def _group(self, position: int) -> tuple:
+    def _group(self, position: int):
         """An expression one level down, up to its closing ')'."""
         self._nest(position)
         parsed = self._expr()
-        self.toks.expect(")", "')'")
+        self.expect(")", "')'")
         self.depth -= 1
         return parsed
 
-    def _expr(self) -> tuple:
+    def _expr(self):
         outer = self.depth
-        node, (lo, hi, n) = self._term()
-        while self.toks.peek()[0] == "+":
-            self._nest(self.toks.advance()[2])
-            right, (lo2, hi2, n2) = self._term()
-            node, (lo, hi, n) = Sum(node, right), _shape(min(lo, lo2), max(hi, hi2), n + n2)
+        node = self._term()
+        while self.peek()[0] == "+":
+            self._nest(self.advance()[2])
+            node = Sum(node, self._term())
         self.depth = outer
-        return node, (lo, hi, n)
+        return node
 
-    def _term(self) -> tuple:
+    def _term(self):
         outer = self.depth
-        node, (lo, hi, n) = self._factor()
-        while self.toks.peek()[0] == "*":
-            position = self.toks.advance()[2]
-            self._nest(position)
-            right, (lo2, hi2, n2) = self._factor()
-            self._charge(n * n2, position)
-            node, (lo, hi, n) = Tensor(node, right), _shape(lo + lo2, hi + hi2, n * n2)
+        node = self._factor()
+        while self.peek()[0] == "*":
+            self._nest(self.advance()[2])
+            node = Tensor(node, self._factor())
         self.depth = outer
-        return node, (lo, hi, n)
+        return node
 
     def _literal(self, what: str) -> tuple:
         """A digit token as an int, and its position."""
-        tok = self.toks.expect("nat", what)
+        tok = self.expect("nat", what)
         try:
             return int(tok[1]), tok[2]
         except ValueError:  # more digits than int() converts
             raise RangeError(tok[2], f"{what} of {len(tok[1])} digits is too long") from None
 
     def _int(self) -> int:
-        negative = self.toks.peek()[0] == "-"
-        if negative:
-            self.toks.advance()
-        value, _ = self._literal("an integer")
-        return -value if negative else value
+        sign = -1 if self.peek()[0] == "-" and self.advance() else 1
+        return sign * self._literal("an integer")[0]
 
     def _nat(self, what: str) -> tuple:
         """A power or jet order, at most MAX_POWER, and its position."""
@@ -269,60 +206,56 @@ class _Parser:
             raise RangeError(position, f"{value} exceeds the limit of {MAX_POWER} for {what}")
         return value, position
 
-    def _factor(self) -> tuple:
-        tok = self.toks.peek()
+    def _factor(self):
+        tok = self.peek()
         if tok[0] == "(":
-            return self._group(self.toks.advance()[2])
-        if tok[0] != "word":
-            raise ParseError(tok[2], _FACTOR_EXPECTED, repr(tok[1]) if tok[1] else "end of input")
+            return self._group(self.advance()[2])
         word = tok[1]
+        if tok[0] != "word" or f"'{word}'" not in _FACTOR_EXPECTED:
+            raise ParseError(tok[2], _FACTOR_EXPECTED, repr(word) if word else "end of input")
+        self.advance()
         if word == "O":
-            self.toks.advance()
-            if self.toks.peek()[0] == "(":
-                self.toks.advance()
+            if self.peek()[0] == "(":
+                self.advance()
                 d = self._int()
-                self.toks.expect(")", "')'")
-                return Twist(d), (d, d, 1)
-            return Structure(), (0, 0, 1)
+                self.expect(")", "')'")
+                return Twist(d)
+            return Structure()
         if word == "Omega":
-            self.toks.advance()
-            return Omega(), (-1, 0, 2)
+            return Omega()
         if word == "dual":
-            self.toks.advance()
-            node, (lo, hi, n) = self._group(self.toks.expect("(", "'('")[2])
-            return Dual(node), (-hi, -lo, n)
+            return Dual(self._group(self.expect("(", "'('")[2]))
         if word in ("Sym", "Wedge"):
-            self.toks.advance()
             k, _ = self._nat("a power")
-            node, shape = self._group(self.toks.expect("(", "'('")[2])
-            shape = self._power(shape, k, tok[2])
-            return (Sym(k, node) if word == "Sym" else Wedge(k, node)), shape
+            node = self._group(self.expect("(", "'('")[2])
+            return Sym(k, node) if word == "Sym" else Wedge(k, node)
         if word == "J":
-            self.toks.advance()
             k, kpos = self._nat("a jet order")
             if k < 1:
                 raise RangeError(kpos, f"jet order must be at least 1, got {k}")
-            self.toks.expect("(", "'('")
-            otok = self.toks.expect("word", "'O'")
+            self.expect("(", "'('")
+            otok = self.expect("word", "'O'")
             if otok[1] != "O":
                 raise ParseError(otok[2], {"'O'"}, repr(otok[1]))
-            self.toks.expect("(", "'('")
+            self.expect("(", "'('")
             l = self._int()
-            self.toks.expect(")", "')'")
-            self.toks.expect(",", "','")
-            stok = self.toks.expect("word", "'left' or 'right'")
+            self.expect(")", "')'")
+            self.expect(",", "','")
+            stok = self.expect("word", "'left' or 'right'")
             if stok[1] not in SIDES:
                 raise ParseError(stok[2], {"'left'", "'right'"}, repr(stok[1]))
-            self.toks.expect(")", "')'")
-            # Sym^k of the single twist (N+1) O(-1), tensored with O(l)
-            self._power((-1, -1, 1), k, tok[2])
-            return Jet(k, Twist(l), stok[1]), (l - k, l - k, 1)
-        raise ParseError(tok[2], _FACTOR_EXPECTED, repr(word))
+            self.expect(")", "')'")
+            return Jet(k, Twist(l), stok[1])
 
 
 def parse(text: str):
     """Parse an expression; raises ParseError/RangeError on bad input."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    expr = parser._expr()
+    tok = parser.peek()
+    if tok[0] != "end":
+        raise ParseError(tok[2], {"'+'", "'*'", "end of input"}, repr(tok[1]))
+    return expr
 
 
 def print_expr(e) -> str:
@@ -348,42 +281,108 @@ def print_expr(e) -> str:
         return f"{left} * {right}"
     if isinstance(e, Dual):
         return f"dual({print_expr(e.arg)})"
-    if isinstance(e, Sym):
-        return f"Sym{e.power}({print_expr(e.arg)})"
-    if isinstance(e, Wedge):
-        return f"Wedge{e.power}({print_expr(e.arg)})"
+    if isinstance(e, (Sym, Wedge)):
+        return f"{type(e).__name__}{e.power}({print_expr(e.arg)})"
     if isinstance(e, Jet):
         return f"J{e.order}(O({e.arg.d}), {e.side})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _value(e, N: int) -> LaurentPoly:
-    """An expression as a formal sum of twists, a Laurent polynomial in
-    [O(1)].  J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l), which
-    is Sym^k(Omega + O) (x) O(l), and Omega + O = (N+1) O(-1)."""
-    if isinstance(e, Twist):
-        return LaurentPoly.monomial(e.d)
-    if isinstance(e, Structure):
-        return LaurentPoly.monomial(0)
-    if isinstance(e, Omega):
-        return LaurentPoly({-1: N + 1, 0: -1})
-    if isinstance(e, Sum):
-        return _value(e.left, N) + _value(e.right, N)
-    if isinstance(e, Tensor):
-        return _value(e.left, N) * _value(e.right, N)
-    if isinstance(e, Dual):
-        return _value(e.arg, N).dual()
-    if isinstance(e, Sym):
-        return kring.sym_power(_value(e.arg, N), e.power)
-    if isinstance(e, Wedge):
-        return kring.wedge_power(_value(e.arg, N), e.power)
-    if isinstance(e, Jet):
-        return kring.sym_power(LaurentPoly({-1: N + 1}), e.order) * _value(e.arg, N)
-    raise TypeError(f"not an expression node: {e!r}")
+# Most work one evaluation may do, in units of about one step of a series or
+# product loop on small ints.  On top of its step, a product of an a-bit and
+# a b-bit int costs a*b / _MUL_BITS, a ratio step c * f // i of sum_to_class
+# bits(c) (100 + bits(f)) / _MUL_BITS, and a new term _TERM_WORK.  Timed over
+# 60 shapes on a 2-vCPU machine (Python 3.11), a unit took 0.2-0.36 us, so a
+# budget is a few seconds at most: Sym1000(O(1) + O(2)) at N = 1000 is charged
+# 7.9e6 (1.2 s) and Sym40(Sym40(O(1) + O(2))) 2.2e7 (3.3 s).
+MAX_WORK = 10**7
+_MUL_BITS, _TERM_WORK = 10**5, 4
+
+
+def charge(spent: int, work: int, what: str) -> int:
+    """spent + work; a ValueError naming the step `what` if that exceeds MAX_WORK."""
+    spent += work
+    if spent > MAX_WORK:
+        raise ValueError(f"{what} needs about {spent} coefficient operations, "
+                         f"over the budget of {MAX_WORK}")
+    return spent
+
+
+def _bits(n: int, k: int) -> float:
+    """At least log2 binom(n + k, k) for n, k >= 0, as binom(a, m) <= (e a/m)^m."""
+    m = min(n, k)
+    return m * (math.log2(n + k) - math.log2(m) + 1.45) if m else 0.0
+
+
+def _extent(s: LaurentPoly) -> tuple:
+    """Term count, largest |multiplicity|, lowest and highest twist of a sum."""
+    sizes = [abs(c) for _, c in s.items()]
+    return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
+
+
+def _series_cost(s: LaurentPoly, k: int) -> int:
+    """Work of kring's Sym^k or Wedge^k series.  Before twist i, level t holds at
+    most binom(i-2+t, t) and t*S + 1 terms, S the span of s: weighted by k+1-t,
+    at most binom(i+k, k) and pairs + S*cube products, of the bits of binom(|m|+k-1, k)
+    and binom(R+k-1, k), m its multiplicity and R the total |multiplicity|."""
+    sizes, lo, hi = [abs(m) for _, m in s.items()], s.min_degree or 0, s.max_degree or 0
+    pairs, cube = (k + 1) * (k + 2) // 2, k * (k + 1) * (k + 2) // 6
+    cap, terms = pairs + (hi - lo) * cube, k + 1 + (hi - lo) * (pairs - k - 1)
+    held = _bits(max(sum(sizes) - 1, 0), k) / _MUL_BITS
+    work, comb = len(sizes) * pairs, 1
+    for i, m in enumerate(sizes, 1):
+        comb = min(comb * (i + k) // i, cap)
+        work += comb * (1 + _bits(m - 1, k) * held) + _TERM_WORK * min(comb, terms)
+    return int(work)
 
 
 def evaluate(e, N: int) -> TruncPoly:
-    """Evaluate an expression to its class in K(P^N)."""
+    """Evaluate an expression to its class in K(P^N).
+
+    Every node becomes a sum of twists, a Laurent polynomial in [O(1)].
+    J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l) = Sym^k(Omega + O)
+    (x) O(l), and Omega + O = (N+1) O(-1).  Each power, jet, product and the
+    final sum_to_class is charged against MAX_WORK before it runs."""
     if N < 1:
         raise ValueError("N must be positive")
-    return kring.sum_to_class(_value(e, N), N)
+    spent = 0
+
+    def value(e) -> LaurentPoly:
+        nonlocal spent
+        if isinstance(e, Twist):
+            return LaurentPoly.monomial(e.d)
+        if isinstance(e, Structure):
+            return LaurentPoly.monomial(0)
+        if isinstance(e, Omega):
+            return LaurentPoly({-1: N + 1, 0: -1})
+        if isinstance(e, Sum):
+            return value(e.left) + value(e.right)
+        if isinstance(e, Tensor):
+            a, b = value(e.left), value(e.right)
+            (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = _extent(a), _extent(b)
+            work = n1 * n2 * (1 + big1.bit_length() * big2.bit_length() / _MUL_BITS)
+            work += _TERM_WORK * min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
+            spent = charge(spent, int(work), f"a product of twist sums of lengths {n1} and {n2}")
+            return a * b
+        if isinstance(e, Dual):
+            return value(e.arg).dual()
+        if isinstance(e, (Sym, Wedge)):
+            s, k = value(e.arg), e.power
+            what = f"{type(e).__name__}{k} of a twist sum of length {len(s.items())}"
+            spent = charge(spent, _series_cost(s, k), what)
+            return (kring.sym_power if isinstance(e, Sym) else kring.wedge_power)(s, k)
+        if isinstance(e, Jet):
+            s, k = LaurentPoly({-1: N + 1}), e.order
+            spent = charge(spent, _series_cost(s, k), f"J{k} on P^{N}")
+            return kring.sym_power(s, k).shift(e.arg.d)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    # sum_to_class takes N ratio steps per twist O(d), or 1 - d if d <= 0 is
+    # fewer, by factors up to |d| + N, on multiples of binom(|d| + N, N).
+    n, big, lo, hi = _extent(s := value(e))
+    top = max(-lo, hi)
+    bits = big.bit_length() + _bits(top, N)
+    steps = n * (N if hi > 0 else min(N, 1 - lo))
+    work = 2 * n + steps * (1 + bits * (100 + (top + N).bit_length()) / _MUL_BITS)
+    charge(spent, int(work), f"the class on P^{N} of a twist sum of length {n}")
+    return kring.sum_to_class(s, N)

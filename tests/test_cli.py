@@ -43,6 +43,11 @@ def test_kclass_bad_expression_exits_2(capsys):
     assert "position 7" in err
 
 
+def _chain(n):
+    """(O(0) + O(1)) * (O(0) + O(2)) * ...: n factors, 2^n twists, one product at a time."""
+    return " * ".join(f"(O(0) + O({2 ** i}))" for i in range(n))
+
+
 def test_deep_expressions_are_input_errors(capsys):
     deep = [
         "(" * 2000 + "O(1)" + ")" * 2000,
@@ -52,9 +57,6 @@ def test_deep_expressions_are_input_errors(capsys):
         "J1001(O(0), left)",
         "O(" + "9" * 5000 + ")",
         "Sym" + "9" * 5000 + "(O(1))",
-        "Sym80(Sym80(O(1) + O(2)))",
-        # 2^41 twists, one product at a time
-        " * ".join(f"(O(0) + O({2 ** i}))" for i in range(41)),
     ]
     for N in (1, 2):
         for expr in deep:
@@ -62,6 +64,24 @@ def test_deep_expressions_are_input_errors(capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: at position")
             assert "Traceback" not in err
+    # Over the work budget: the interpreter names the step that went over,
+    # before running it, and no position.  The tower's multiplicity has
+    # millions of bits, the 14 factors have 16384 twists on P^1000, and the
+    # chains of 22 and 41 factors stop at the product that would make 2^20.
+    over = [
+        ("2", "Sym1000(Sym1000(Sym1000(O + O)))", "Sym1000 of a twist sum of length 1"),
+        ("1000", _chain(14), "the class on P^1000 of a twist sum of length 16384"),
+        ("2", _chain(22), "a product of twist sums of lengths 524288 and 2"),
+        ("1", "Sym80(Sym80(O(1) + O(2)))", "Sym80 of a twist sum of length 81"),
+        ("2", _chain(41), "a product of twist sums of lengths 524288 and 2"),
+    ]
+    for N, expr, step in over:
+        for mode in ([], ["--json"]) if len(expr) < 300 else ([],):
+            assert run(["kclass", "-N", N, *mode, expr]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {step} needs about ")
+            assert captured.err.endswith(f"over the budget of {sheafdsl.MAX_WORK}\n")
     # a class too large to print is an input error in jetk's own terms,
     # in text and JSON mode alike
     nines = "O(" + "9" * 2000 + ")"
@@ -73,13 +93,30 @@ def test_deep_expressions_are_input_errors(capsys):
             "error: a number in the result has more than "
             f"{sys.get_int_max_str_digits()} digits\n"
         )
-    # the largest power and order, and the largest kclass shapes of the
-    # kring-mix benchmark, still evaluate
+    # the largest power and order, also at the largest N, and the largest
+    # kclass shapes of the kring-mix benchmark still evaluate
     assert run(["kclass", "-N", "3", "Sym1000(O(1) + O(2))"]) == 0
     assert run(["kclass", "-N", "24", "J1000(O(0), left)"]) == 0
+    assert run(["kclass", "-N", "1000", "Sym1000(O(1) + O(2))"]) == 0
+    assert run(["kclass", "-N", "1000", "J1000(O(0), left)"]) == 0
     widest = "(Sym8(O(-3) + O(5) + O(-2) + O(4) + O(0) + O(1)))"
     assert run(["kclass", "-N", "24", f"{widest} * {widest} + J12(O(8), left) * Sym24(Omega)"]) == 0
     capsys.readouterr()
+
+
+def test_only_ascii_digits_are_numbers(capsys, tmp_path):
+    # int() reads any Unicode decimal digit; both parsers take only 0-9
+    path = tmp_path / "arabic.txt"
+    path.write_text("\u0663*u ; 0\n0 ; 1\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert run(["kclass", "-N", "2", *mode, "O(\u0663)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at position 2: expected a token, found '\u0663'\n"
+        assert run(["birkhoff", "--matrix", str(path), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "\u0663" in captured.err
 
 
 def test_size_flags_are_bounded(capsys):

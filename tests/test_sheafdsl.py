@@ -283,17 +283,34 @@ def test_parse_depth_limit():
         assert info.value.position == position
 
 
-def test_parse_work_budget():
-    assert parse("Sym24(Sym24(O(1) + O(2)))") is not None  # predicts 8.3e6 of MAX_WORK
-    parse(f"Sym{MAX_POWER}(O(1) + O(2)) * Sym{MAX_POWER}(O(1) + O(2))")
-    for text, position in [("Sym25(Sym25(O(1) + O(2)))", 0),
-                           ("O(1) * Wedge80(Sym80(O(1) + O(2)))", 7),
-                           ("J1(O(1), left) + Sym1000(O(1) + O(2) + O(3))", 17),
-                           # 2e6 per power, 1e6 and then 3e6 for the products
-                           ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3))"
-                            " * Sym1000(O(1) + O(5))", 44),
-                           # the budget is for the whole expression
-                           (" + ".join([f"J{MAX_POWER}(O(0), left)"] * 11), 200)]:
-        with pytest.raises(RangeError, match=f"over the budget of {MAX_WORK}") as info:
-            parse(text)
-        assert info.value.position == position
+def test_evaluate_work_budget():
+    # parse charges nothing; evaluate charges each step from its real
+    # operands and N, the whole expression against one budget
+    admitted = [("Sym24(Sym24(O(1) + O(2)))", 3),
+                (f"Sym{MAX_POWER}(O(1) + O(2)) * Sym{MAX_POWER}(O(1) + O(2))", 1),
+                # the parser's prediction refused this tower; it runs in ~0.3 s
+                ("Sym25(Sym25(O(1) + O(2)))", 3)]
+    for text, N in admitted:
+        assert isinstance(evaluate(parse(text), N), TruncPoly)
+    rejected = [("Sym40(Sym40(O(1) + O(2)))", 3, "Sym40 of a twist sum of length 41"),
+                ("O(1) * Wedge80(Sym80(O(1) + O(2)))", 1, "Wedge80 of a twist sum of length 81"),
+                ("J1(O(1), left) + Sym1000(O(1) + O(2) + O(3))", 1,
+                 "Sym1000 of a twist sum of length 3"),
+                # each power fits the budget, the third does not fit what is left
+                ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3)) * Sym1000(O(1) + O(5))", 1,
+                 "Sym1000 of a twist sum of length 2"),
+                # sum_to_class takes N steps per positive twist
+                (" + ".join(f"O({d})" for d in range(1, 101)), 10**5,
+                 "the class on P^100000 of a twist sum of length 100")]
+    for text, N, step in rejected:
+        tree = parse(text)
+        with pytest.raises(ValueError) as info:
+            evaluate(tree, N)
+        assert not isinstance(info.value, ParseError)
+        message = str(info.value)
+        assert message.startswith(f"{step} needs about ")
+        assert message.endswith(f" coefficient operations, over the budget of {MAX_WORK}")
+    # a tree built in code is charged the same as a parsed one
+    tower = Sym(1000, Sym(1000, Sym(1000, Sum(Structure(), Structure()))))
+    with pytest.raises(ValueError, match="^Sym1000 of a twist sum of length 1 needs about "):
+        evaluate(tower, 2)
