@@ -13,13 +13,20 @@ Subcommands:
 -N and the table's --lmax - --lmin are at most MAX_N, and -k at most
 sheafdsl.MAX_POWER; a larger one is an input error.
 
+Integer flags take an optional '-' and the ASCII digits 0-9 only.
+
+Each subcommand's handler returns one Report and prints nothing; ``run``
+alone turns it into output.  Text mode prints the last step's ``rendered``
+value when it has one (a class, a splitting, the jet table) and the whole
+report otherwise.  With ``--json`` it emits the report object {claim,
+params, verdict, steps}; all numbers are serialized as decimal strings so
+arbitrary precision survives any consumer.  ``_encode`` turns values into
+text for both modes.
+
 Exit codes: 0 verified/success, 1 refuted claim, 2 usage or input error
 (an inapplicable verdict maps to 2 as an out-of-range query), 3 internal
 fault: any other exception, reported on stderr as
-``error: internal fault: <Type>: <message>`` without a traceback.  With
-``--json`` every command emits one report object {claim, params, verdict,
-steps}; all numbers are serialized as decimal strings so arbitrary
-precision survives any consumer.
+``error: internal fault: <Type>: <message>`` without a traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jetcalc, p1lab, sheafdsl
+from .exact_arith import TruncPoly
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
 _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
@@ -42,24 +50,17 @@ _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
 MAX_N = 1000
 
 
-def _printed(value) -> str:
-    """str(value), with jetk's own message for an int too long to print."""
-    try:
-        return str(value)
-    except ValueError:  # only int -> str conversion can fail here
-        raise ValueError(
-            "a number in the result has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
 def _encode(value):
-    if isinstance(value, bool) or value is None:
+    """A report value as JSON: numbers, classes and splittings become decimal
+    text.  Both output modes turn values into text here and nowhere else."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _printed(value)
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (int, Fraction, TruncPoly, p1lab.SplittingType)):
+        try:
+            return str(value)
+        except ValueError:  # only int -> str conversion can fail here
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a number in the result has more than {limit} digits") from None
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -83,7 +84,7 @@ def emit_json(report: Report) -> str:
 
 
 def _render_value(value) -> str:
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}: {_render_value(v)}" for k, v in value.items()) + "}"
@@ -91,15 +92,19 @@ def _render_value(value) -> str:
 
 
 def _render_report(report: Report) -> str:
-    lines = [f"claim: {report.claim}"]
-    params = ", ".join(f"{k}={_render_value(v)}" for k, v in report.params.items())
-    lines.append(f"params: {params}")
-    lines.append(f"verdict: {report.verdict}")
+    params = ", ".join(f"{k}={_render_value(v)}" for k, v in _encode(report.params).items())
+    lines = [f"claim: {report.claim}", f"params: {params}", f"verdict: {report.verdict}"]
     for idx, step in enumerate(report.steps, start=1):
         lines.append(f"  {idx}. {step.description}")
-        for key, value in step.values.items():
+        for key, value in _encode(step.values).items():
             lines.append(f"     {key} = {_render_value(value)}")
     return "\n".join(lines)
+
+
+def _text(report: Report) -> str:
+    """Text mode: the last step's rendered value if it has one, else the report."""
+    final = report.steps[-1].values if report.steps else {}
+    return _encode(final["rendered"]) if "rendered" in final else _render_report(report)
 
 
 def _check_sizes(args) -> None:
@@ -110,102 +115,65 @@ def _check_sizes(args) -> None:
             raise ValueError(f"-{flag} {value} exceeds the limit of {limit}")
 
 
-def _require(args, names: list, claim: str) -> None:
-    missing = [n for n in names if getattr(args, n.strip("-"), None) is None]
-    if missing:
-        raise ValueError(f"verify {claim} requires {' '.join('-' + n for n in missing)}")
+def _splitting_step(splitting) -> Step:
+    return Step("Birkhoff splitting degrees",
+                {"splitting": list(splitting.degrees), "rendered": splitting})
 
 
 def _cmd_kclass(args):
-    expr = sheafdsl.parse(args.expr)
-    value = sheafdsl.evaluate(expr, args.N)
-    rendered = _printed(value)
-    report = Report(
-        "kclass",
-        {"N": args.N, "expr": args.expr},
-        VERIFIED,
-        [
-            Step(
-                f"class in the basis {{1, t, ..., t^{args.N}}}",
-                {"coefficients": list(value.coeffs), "rendered": rendered},
-            )
-        ],
-    )
-    return report, rendered
+    value = sheafdsl.evaluate(sheafdsl.parse(args.expr), args.N)
+    step = Step(f"class in the basis {{1, t, ..., t^{args.N}}}",
+                {"coefficients": list(value.coeffs), "rendered": value})
+    return Report("kclass", {"N": args.N, "expr": args.expr}, VERIFIED, [step])
 
 
 def _cmd_split(args):
     if args.N != 1:
-        raise ValueError(
-            "splitting types are algorithmic only on the line; use -N 1"
-        )
+        raise ValueError("splitting types are algorithmic only on the line; use -N 1")
     expr = sheafdsl.parse(args.expr)
     if not isinstance(expr, sheafdsl.Jet):
         raise ValueError(
             f"split expects a jet expression like J1(O(2), left), got {args.expr!r}"
         )
     if expr.order != 1:
-        raise ValueError(
-            "explicit transition matrices exist only at first order; use J1"
-        )
+        raise ValueError("explicit transition matrices exist only at first order; use J1")
     matrix = p1lab.jet_transition(expr.arg.d, expr.side)
-    splitting = p1lab.birkhoff_split(matrix)
-    report = Report(
-        "birkhoff-splitting",
-        {"N": 1, "expr": args.expr, "l": expr.arg.d, "side": expr.side},
-        VERIFIED,
-        [
-            Step(
-                "first-order jet transition matrix",
-                {"matrix": [str(e) for row in matrix.rows() for e in row]},
-            ),
-            Step(
-                "Birkhoff splitting degrees",
-                {"splitting": list(splitting.degrees), "rendered": str(splitting)},
-            ),
-        ],
-    )
-    return report, str(splitting)
+    steps = [
+        Step("first-order jet transition matrix",
+             {"matrix": [str(e) for row in matrix.rows() for e in row]}),
+        _splitting_step(p1lab.birkhoff_split(matrix)),
+    ]
+    params = {"N": 1, "expr": args.expr, "l": expr.arg.d, "side": expr.side}
+    return Report("birkhoff-splitting", params, VERIFIED, steps)
+
+
+# Each verify claim's certificate, by module and name so that the one called
+# is whatever the module holds at call time, and the flags it takes, in order.
+_CERTIFICATES = {
+    "mainsplit": (jetcalc, "prove_non_isomorphic", ("N", "l")),
+    "ktheory": (jetcalc, "verify_ktheory_equality", ("N", "k", "l")),
+    "atiyah": (p1lab, "verify_corr_p1", ("l",)),
+}
 
 
 def _cmd_verify(args):
-    if args.claim == "mainsplit":
-        _require(args, ["N", "l"], "mainsplit")
-        report = jetcalc.prove_non_isomorphic(args.N, args.l)
-    elif args.claim == "ktheory":
-        _require(args, ["N", "k", "l"], "ktheory")
-        report = jetcalc.verify_ktheory_equality(args.N, args.k, args.l)
-    else:
-        _require(args, ["l"], "atiyah")
-        report = p1lab.verify_corr_p1(args.l)
-    return report, _render_report(report)
+    module, name, flags = _CERTIFICATES[args.claim]
+    missing = " ".join(f"-{f}" for f in flags if getattr(args, f) is None)
+    if missing:
+        raise ValueError(f"verify {args.claim} requires {missing}")
+    return getattr(module, name)(*(getattr(args, f) for f in flags))
 
 
 def _cmd_birkhoff(args):
-    text = Path(args.matrix).read_text(encoding="utf-8")
-    matrix = p1lab.matrix_from_text(text)
+    matrix = p1lab.matrix_from_text(Path(args.matrix).read_text(encoding="utf-8"))
     coeff, exponent = matrix.det_monomial()
-    splitting = p1lab.birkhoff_split(matrix)
-    report = Report(
-        "birkhoff-splitting",
-        {"matrix": str(args.matrix), "size": matrix.size},
-        VERIFIED,
-        [
-            Step(
-                "ingested matrix",
-                {"rows": str(matrix).splitlines()},
-            ),
-            Step(
-                "determinant monomial",
-                {"coefficient": coeff, "exponent": exponent},
-            ),
-            Step(
-                "Birkhoff splitting degrees",
-                {"splitting": list(splitting.degrees), "rendered": str(splitting)},
-            ),
-        ],
-    )
-    return report, str(splitting)
+    steps = [
+        Step("ingested matrix", {"rows": str(matrix).splitlines()}),
+        Step("determinant monomial", {"coefficient": coeff, "exponent": exponent}),
+        _splitting_step(p1lab.birkhoff_split(matrix)),
+    ]
+    params = {"matrix": str(args.matrix), "size": matrix.size}
+    return Report("birkhoff-splitting", params, VERIFIED, steps)
 
 
 def _cmd_table(args):
@@ -222,25 +190,25 @@ def _cmd_table(args):
         left = p1lab.birkhoff_split(p1lab.jet_transition(l, "left"))
         right = p1lab.birkhoff_split(p1lab.jet_transition(l, "right"))
         value = jetcalc.jet_class(1, 1, l)
-        steps.append(
-            Step(
-                f"first-order jet of O({l})",
-                {
-                    "l": l,
-                    "left": list(left.degrees),
-                    "right": list(right.degrees),
-                    "class": list(value.coeffs),
-                },
-            )
-        )
-        lines.append(f"{l:>4}  {str(left):<12}  {str(right):<12}  {value}")
-    report = Report(
-        "jet-table",
-        {"N": 1, "lmin": args.lmin, "lmax": args.lmax},
-        VERIFIED,
-        steps,
-    )
-    return report, "\n".join(lines)
+        steps.append(Step(f"first-order jet of O({l})", {
+            "l": l, "left": list(left.degrees), "right": list(right.degrees),
+            "class": list(value.coeffs),
+        }))
+        lines.append("{:>4}  {:<12}  {:<12}  {}".format(*_encode([l, left, right, value])))
+    steps.append(Step("the rows above as a table", {"rendered": "\n".join(lines)}))
+    return Report("jet-table", {"N": 1, "lmin": args.lmin, "lmax": args.lmax}, VERIFIED, steps)
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag: an optional '-' and the ASCII digits 0-9, as an int in
+    an expression (argparse's int also takes other digits, '_' and blanks)."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 @functools.cache  # one parser per process, however often run() is called
@@ -252,22 +220,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kclass", help="evaluate an expression in K(P^N)")
-    p.add_argument("-N", type=int, required=True, help="ambient dimension")
+    p.add_argument("-N", type=_int_flag, required=True, help="ambient dimension")
     p.add_argument("expr", help="sheaf expression, e.g. 'Sym2(Omega) * O(5)'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kclass)
 
     p = sub.add_parser("split", help="Birkhoff splitting of a jet bundle on P^1")
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("expr", help="jet expression, e.g. 'J1(O(2), right)'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("verify", help="run a verification certificate")
-    p.add_argument("claim", choices=["mainsplit", "ktheory", "atiyah"])
-    p.add_argument("-N", type=int)
-    p.add_argument("-k", type=int)
-    p.add_argument("-l", type=int)
+    p.add_argument("claim", choices=list(_CERTIFICATES))
+    p.add_argument("-N", type=_int_flag)
+    p.add_argument("-k", type=_int_flag)
+    p.add_argument("-l", type=_int_flag)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
@@ -278,9 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="tabulate jet splittings and classes")
     p.add_argument("what", choices=["jets"])
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--lmin", type=int, required=True)
-    p.add_argument("--lmax", type=int, required=True)
+    p.add_argument("-N", type=_int_flag, required=True)
+    p.add_argument("--lmin", type=_int_flag, required=True)
+    p.add_argument("--lmax", type=_int_flag, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_table)
 
@@ -295,8 +263,8 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         _check_sizes(args)
-        report, text = args.handler(args)
-        output = emit_json(report) if args.json else text
+        report = args.handler(args)
+        output = emit_json(report) if args.json else _text(report)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

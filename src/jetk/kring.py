@@ -57,24 +57,28 @@ def sum_to_class(s: LaurentPoly, N: int) -> TruncPoly:
 
 def _series_coefficient(s: LaurentPoly, k: int, sign: int) -> LaurentPoly:
     """The s^k coefficient of prod_d (1 + sign*s*O(d))^(sign*m_d), whose
-    factors expand to sum_r sign^r * binom(sign*m_d, r) * s^r O(r*d)."""
+    factors expand to sum_r sign^r * binom(sign*m_d, r) * s^r O(r*d).
+
+    A factor's terms vanish past r = |m_d| when sign*m_d > 0, and `series`
+    holds only the levels the factors so far reach, so each twist steps
+    through the pairs (j - r, r) of a held level and a nonzero term alone."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    series = [{0: 1}] + [{}] * k
+    series = [{0: 1}]
     for d, m in s.items():
+        rmax = min(abs(m), k) if sign * m > 0 else k
         factor = [1]  # sign^r binom(sign*m, r), by the ratio of consecutive terms
-        for r in range(1, k + 1):
+        for r in range(1, rmax + 1):
             factor.append(factor[-1] * (m - sign * (r - 1)) // r)
         product = []
-        for j in range(k + 1):
+        for j in range(min(len(series) - 1 + rmax, k) + 1):
             out = {}
-            for r in range(j + 1):
-                if factor[r]:
-                    for e, n in series[j - r].items():
-                        out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
+            for r in range(max(0, j - len(series) + 1), min(j, rmax) + 1):
+                for e, n in series[j - r].items():
+                    out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
             product.append(out)
         series = product
-    return LaurentPoly(series[k])
+    return LaurentPoly(series[k] if k < len(series) else None)
 
 
 def sym_power(s: LaurentPoly, k: int) -> LaurentPoly:

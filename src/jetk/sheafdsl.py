@@ -22,6 +22,7 @@ the work budget MAX_WORK from the real operands and N before running it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from . import kring
 from .exact_arith import LaurentPoly, Record, TruncPoly
@@ -292,9 +293,9 @@ def print_expr(e) -> str:
 # product loop on small ints.  On top of its step, a product of an a-bit and
 # a b-bit int costs a*b / _MUL_BITS, a ratio step c * f // i of sum_to_class
 # bits(c) (100 + bits(f)) / _MUL_BITS, and a new term _TERM_WORK.  Timed over
-# 60 shapes on a 2-vCPU machine (Python 3.11), a unit took 0.2-0.36 us, so a
-# budget is a few seconds at most: Sym1000(O(1) + O(2)) at N = 1000 is charged
-# 7.9e6 (1.2 s) and Sym40(Sym40(O(1) + O(2))) 2.2e7 (3.3 s).
+# 60 shapes on a 2-vCPU machine (Python 3.11), a unit took at most 0.36 us, so
+# a budget is a few seconds at most: Sym1000(O(1) + O(2)) at N = 1000 is
+# charged 7.4e6 (1.3 s) and Sym40(Sym40(O(1) + O(2))) 1.2e7 (3.3 s).
 MAX_WORK = 10**7
 _MUL_BITS, _TERM_WORK = 10**5, 4
 
@@ -320,19 +321,30 @@ def _extent(s: LaurentPoly) -> tuple:
     return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
 
 
-def _series_cost(s: LaurentPoly, k: int) -> int:
-    """Work of kring's Sym^k or Wedge^k series.  Before twist i, level t holds at
-    most binom(i-2+t, t) and t*S + 1 terms, S the span of s: weighted by k+1-t,
-    at most binom(i+k, k) and pairs + S*cube products, of the bits of binom(|m|+k-1, k)
-    and binom(R+k-1, k), m its multiplicity and R the total |multiplicity|."""
-    sizes, lo, hi = [abs(m) for _, m in s.items()], s.min_degree or 0, s.max_degree or 0
-    pairs, cube = (k + 1) * (k + 2) // 2, k * (k + 1) * (k + 2) // 6
-    cap, terms = pairs + (hi - lo) * cube, k + 1 + (hi - lo) * (pairs - k - 1)
-    held = _bits(max(sum(sizes) - 1, 0), k) / _MUL_BITS
-    work, comb = len(sizes) * pairs, 1
-    for i, m in enumerate(sizes, 1):
-        comb = min(comb * (i + k) // i, cap)
-        work += comb * (1 + _bits(m - 1, k) * held) + _TERM_WORK * min(comb, terms)
+def _series_cost(s: LaurentPoly, k: int, sign: int) -> int:
+    """Work of kring's Sym^k (sign -1) or Wedge^k (sign 1) series, pair for pair.
+    Like the series, twist i of multiplicity m makes level j from the held
+    levels j - r, r = 0..rmax (rmax = |m| if sign*m > 0, else k); a level holds
+    at most the products that made it and j*S + 1 terms, S the span of the
+    twists so far.  A product is of the bits of binom(|m|+k-1, k) and of
+    binom(R+k-1, k), R the total |multiplicity|.  Counting stops once past
+    MAX_WORK, where the step is refused anyway."""
+    held = _bits(max(sum(abs(m) for _, m in s.items()) - 1, 0), k) / _MUL_BITS
+    work, levels, lo, hi = 0, [1], math.inf, -math.inf  # terms of each held level
+    for d, m in s.items():
+        lo, hi = min(lo, d), max(hi, d)
+        rmax, top = min(abs(m), k) if sign * m > 0 else k, len(levels) - 1
+        reach, excess = min(top + rmax, k), max(0, top + rmax - k)
+        below = [0, *accumulate(levels)]  # terms in the levels below t
+        # level j is made from levels max(0, j - rmax) .. min(j, top)
+        upper = below[1:] + below[-1:] * (reach - top)
+        products = [u - b for u, b in zip(upper, [0] * rmax + below)]
+        levels = [min(p, j * (hi - lo) + 1) for j, p in enumerate(products)]
+        pairs = (top + 1) * (rmax + 1) - excess * (excess + 1) // 2  # t + r <= k
+        work += reach + 1 + pairs + sum(products) * (1 + _bits(abs(m) - 1, k) * held)
+        work += _TERM_WORK * sum(levels)
+        if work > MAX_WORK:
+            break
     return int(work)
 
 
@@ -369,11 +381,11 @@ def evaluate(e, N: int) -> TruncPoly:
         if isinstance(e, (Sym, Wedge)):
             s, k = value(e.arg), e.power
             what = f"{type(e).__name__}{k} of a twist sum of length {len(s.items())}"
-            spent = charge(spent, _series_cost(s, k), what)
+            spent = charge(spent, _series_cost(s, k, 1 if isinstance(e, Wedge) else -1), what)
             return (kring.sym_power if isinstance(e, Sym) else kring.wedge_power)(s, k)
         if isinstance(e, Jet):
             s, k = LaurentPoly({-1: N + 1}), e.order
-            spent = charge(spent, _series_cost(s, k), f"J{k} on P^{N}")
+            spent = charge(spent, _series_cost(s, k, -1), f"J{k} on P^{N}")
             return kring.sym_power(s, k).shift(e.arg.d)
         raise TypeError(f"not an expression node: {e!r}")
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -117,6 +118,19 @@ def test_only_ascii_digits_are_numbers(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "\u0663" in captured.err
+        # argparse's int also takes other digits, '_' and blanks in a flag
+        for argv, flag, text in (
+            (["kclass", "-N", "\u0663", "O(1)"], "-N", "\u0663"),
+            (["kclass", "-N", "1_0", "O(1)"], "-N", "1_0"),
+            (["verify", "atiyah", "-l", " 2"], "-l", " 2"),
+            (["verify", "atiyah", "-l", "+2"], "-l", "+2"),
+            (["verify", "ktheory", "-N", "3", "-k", "\uff13", "-l", "1"], "-k", "\uff13"),
+            (["table", "jets", "-N", "1", "--lmin", "-\u0662", "--lmax", "3"], "--lmin", "-\u0662"),
+        ):
+            assert run([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
 
 
 def test_size_flags_are_bounded(capsys):
@@ -372,12 +386,17 @@ def test_table_text_sorted(capsys):
 
 
 def test_table_json(capsys):
-    code = run(["table", "jets", "-N", "1", "--lmin", "1", "--lmax", "3", "--json"])
+    argv = ["table", "jets", "-N", "1", "--lmin", "1", "--lmax", "3"]
+    code = run([*argv, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert [s["values"]["l"] for s in payload["steps"]] == ["1", "2", "3"]
-    assert payload["steps"][1]["values"]["left"] == ["1", "1"]
-    assert payload["steps"][1]["values"]["right"] == ["2", "0"]
+    *rows, table = payload["steps"]
+    assert [s["values"]["l"] for s in rows] == ["1", "2", "3"]
+    assert rows[1]["values"]["left"] == ["1", "1"]
+    assert rows[1]["values"]["right"] == ["2", "0"]
+    # the last step holds the table text mode prints
+    assert run(argv) == 0
+    assert capsys.readouterr().out == table["values"]["rendered"] + "\n"
 
 
 def test_table_rejects_bad_range(capsys):
@@ -466,13 +485,30 @@ def test_refuted_report_serialization(capsys):
     assert payload["verdict"] == REFUTED
 
 
-def test_text_and_json_present_identical_values(capsys):
-    run(["verify", "mainsplit", "-N", "3", "-l", "2"])
-    text_out = capsys.readouterr().out.strip()
-    run(["verify", "mainsplit", "-N", "3", "-l", "2", "--json"])
-    json_out = capsys.readouterr().out
-    rebuilt = _report_from_payload(json.loads(json_out))
-    assert _render_report(rebuilt) == text_out
+def _readme_commands():
+    """The argv of each `jetk ...` line in README's command-line examples."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.startswith("jetk ")]
+
+
+def test_text_and_json_present_identical_values(tmp_path, capsys):
+    # text mode prints the final step's rendered value, or the whole report
+    # when it has none, for every command README shows
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"kclass", "split", "verify", "birkhoff", "table"}
+    (tmp_path / "trans.txt").write_text("u^2 ; 0\n2*u ; -1\n", encoding="utf-8")
+    for argv in commands:
+        argv = [str(tmp_path / arg) if arg == "trans.txt" else arg for arg in argv]
+        assert run(argv) == 0, argv
+        text_out = capsys.readouterr().out
+        assert run([*argv, "--json"]) == 0, argv
+        payload = json.loads(capsys.readouterr().out)
+        final = payload["steps"][-1]["values"]
+        if "rendered" in final:
+            assert text_out == final["rendered"] + "\n", argv
+        else:
+            assert text_out == _render_report(_report_from_payload(payload)) + "\n", argv
 
 
 def test_golden_verify_atiyah_json(capsys):

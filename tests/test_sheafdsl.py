@@ -289,11 +289,15 @@ def test_evaluate_work_budget():
     admitted = [("Sym24(Sym24(O(1) + O(2)))", 3),
                 (f"Sym{MAX_POWER}(O(1) + O(2)) * Sym{MAX_POWER}(O(1) + O(2))", 1),
                 # the parser's prediction refused this tower; it runs in ~0.3 s
-                ("Sym25(Sym25(O(1) + O(2)))", 3)]
+                ("Sym25(Sym25(O(1) + O(2)))", 3),
+                # its factors vanish past multiplicity 1; ~0.1 s
+                ("Wedge40(Sym40(O(1) + O(2)))", 3)]
     for text, N in admitted:
         assert isinstance(evaluate(parse(text), N), TruncPoly)
     rejected = [("Sym40(Sym40(O(1) + O(2)))", 3, "Sym40 of a twist sum of length 41"),
-                ("O(1) * Wedge80(Sym80(O(1) + O(2)))", 1, "Wedge80 of a twist sum of length 81"),
+                # its series alone takes over 10 s
+                ("O(1) * Wedge100(Sym20(O(0) + O(1) + O(5)))", 1,
+                 "Wedge100 of a twist sum of length 95"),
                 ("J1(O(1), left) + Sym1000(O(1) + O(2) + O(3))", 1,
                  "Sym1000 of a twist sum of length 3"),
                 # each power fits the budget, the third does not fit what is left
