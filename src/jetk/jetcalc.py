@@ -21,9 +21,9 @@ O(l-1)^(N+1), but Hom(O(l), O(l-1)) = H^0(O(-1)) = 0.
 from __future__ import annotations
 
 from .exact_arith import TruncPoly, binom
-from .kring import class_of_twist, cohomology_dim, sym_omega
+from .kring import Budget, class_of_twist, cohomology_dim, sym_omega
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
-from .sheafdsl import Jet, Omega, Tensor, Twist, charge, evaluate
+from .sheafdsl import Jet, Omega, Tensor, Twist, evaluate
 
 
 def jet_class(N: int, k: int, l: int) -> TruncPoly:
@@ -40,7 +40,7 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     # The recursion takes about k^2 (N+26) / 2 ring coefficient operations,
     # 0.25-0.44 us each on a 2-vCPU machine (N, k <= 1000): 1.5 units each.
     if k > 0:
-        charge(0, 3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
+        Budget().spend(3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
     series = jet_class(N, k, l)
     twist_class = class_of_twist(N, l)
     telescoped = TruncPoly.zero(N + 1)
@@ -106,8 +106,9 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         ]
         return Report("jet-structures-non-isomorphic", params, REFUTED, steps)
 
-    twist_class = class_of_twist(N, l)
+    # charged before the twist classes: its twists l - 1 and l bound their work
     right_omega = evaluate(Tensor(Omega(), Twist(l)), N)
+    twist_class = class_of_twist(N, l)
     left_class = (N + 1) * class_of_twist(N, l - 1)
     right_class = right_omega + twist_class
     hom_dim = cohomology_dim(N, -1, 0)

@@ -13,7 +13,9 @@ A sum of twists sum_d m_d O(d), virtual ones included, is the Laurent
 polynomial sum_d m_d x^d in x = [O(1)], a ``LaurentPoly`` with int
 coefficients; ``sum_to_class`` maps it to its class.  Sym^k and Wedge^k of
 such a sum are the s^k coefficients of prod_d (1 - s O(d))^(-m_d) and
-prod_d (1 + s O(d))^(m_d).
+prod_d (1 + s O(d))^(m_d).  The series counts its own work as it runs, in
+units of MAX_WORK spent from a ``Budget``, and stops with a ValueError once
+that is spent; ``sheafdsl.evaluate`` passes one budget to all its steps.
 ``sym_omega`` instead runs the recursion
 
     sum_{i<=k} [Sym^i Omega^1] = binom(N+k, N) * [O(-k)]
@@ -25,9 +27,48 @@ reference ``jetcalc.verify_ktheory_equality`` checks the series against.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .exact_arith import LaurentPoly, TruncPoly, binom
+
+# Most work one evaluation may do, in units of about one loop step on small
+# ints: a series level pair or ratio step, a sum_to_class ratio step, a new
+# term.  A product added into a sum costs PRODUCT_WORK, and any product of an
+# a-bit and a b-bit int (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34
+# series shapes on a 2-vCPU machine (Python 3.11), a unit took 0.04-0.14 us
+# in a series, up to 0.2 us in sum_to_class: a budget is a second or two.
+MAX_WORK = 10**7
+MUL_BITS, PRODUCT_WORK = 10**5, 2
+
+
+class Budget:
+    """The work one evaluation has spent, against MAX_WORK, and the name of
+    the step that is running."""
+
+    __slots__ = ("spent", "step")
+
+    def __init__(self, step: str = "") -> None:
+        self.spent, self.step = 0, step
+
+    def spend(self, units: int, step: str | None = None) -> None:
+        """Count units of work.  A named step is charged its whole estimated
+        cost at once; units without a name belong to the running self.step,
+        which is charged as it goes.  Past MAX_WORK a ValueError names the
+        step and gives the total as its need, or for a running step as a
+        lower bound."""
+        self.spent += units
+        if self.spent > MAX_WORK:
+            need = f"about {self.spent}" if step else f"at least {self.spent}"
+            raise ValueError(f"{step or self.step} needs {need} coefficient operations, "
+                             f"over the budget of {MAX_WORK}")
+
+
+def binom_bits(n: int, k: int) -> int:
+    """At least log2 binom(n + k, k) for n, k >= 0, as binom(a, m) <= (e a/m)^m."""
+    m = min(n, k)
+    return math.ceil(m * (math.log2(n + k) - math.log2(m) + 1.45)) if m else 0
 
 
 def class_of_twist(N: int, d: int) -> TruncPoly:
@@ -55,40 +96,53 @@ def sum_to_class(s: LaurentPoly, N: int) -> TruncPoly:
     return TruncPoly(N + 1, coeffs)
 
 
-def _series_coefficient(s: LaurentPoly, k: int, sign: int) -> LaurentPoly:
+def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> LaurentPoly:
     """The s^k coefficient of prod_d (1 + sign*s*O(d))^(sign*m_d), whose
     factors expand to sum_r sign^r * binom(sign*m_d, r) * s^r O(r*d).
 
     A factor's terms vanish past r = |m_d| when sign*m_d > 0, and `series`
     holds only the levels the factors so far reach, so each twist steps
-    through the pairs (j - r, r) of a held level and a nonzero term alone."""
+    through the pairs (j - r, r) of a held level and a nonzero term alone.
+    The work is spent from `budget` as the loops run: a twist's ratio steps
+    before its factor is built, a level's pairs and products before it is
+    computed, and a twist's new terms once its levels are built."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    series = [{0: 1}]
+    series, below, held = [{0: 1}], [0, 1], 0  # below[t]: terms in the levels below t
     for d, m in s.items():
         rmax = min(abs(m), k) if sign * m > 0 else k
+        bits = binom_bits(abs(m) - 1, k)  # a factor coefficient is at most binom(|m|+k-1, k)
+        budget.spend(rmax * (1 + (bits + 100) * (abs(m).bit_length() + 100) // MUL_BITS))
         factor = [1]  # sign^r binom(sign*m, r), by the ratio of consecutive terms
         for r in range(1, rmax + 1):
             factor.append(factor[-1] * (m - sign * (r - 1)) // r)
+        # a held coefficient is at most binom(R+k, k), R the |multiplicity| so far
+        weight = PRODUCT_WORK * MUL_BITS + (bits + 100) * (binom_bits(held, k) + 100)
+        top, held = len(series) - 1, held + abs(m)
         product = []
-        for j in range(min(len(series) - 1 + rmax, k) + 1):
+        for j in range(min(top + rmax, k) + 1):
+            lo, hi = max(0, j - top), min(j, rmax)
+            budget.spend(hi - lo + 1 + (below[j - lo + 1] - below[j - hi]) * weight // MUL_BITS)
             out = {}
-            for r in range(max(0, j - len(series) + 1), min(j, rmax) + 1):
+            for r in range(lo, hi + 1):
                 for e, n in series[j - r].items():
                     out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
             product.append(out)
-        series = product
+        series, below = product, [0, *accumulate(map(len, product))]
+        budget.spend(below[-1])
     return LaurentPoly(series[k] if k < len(series) else None)
 
 
-def sym_power(s: LaurentPoly, k: int) -> LaurentPoly:
-    """Sym^k of any sum: the s^k coefficient of prod_d (1 - s O(d))^(-m_d)."""
-    return _series_coefficient(s, k, -1)
+def sym_power(s: LaurentPoly, k: int, budget: Budget | None = None) -> LaurentPoly:
+    """Sym^k of any sum: the s^k coefficient of prod_d (1 - s O(d))^(-m_d).
+    Its work is spent from `budget`, a fresh one by default."""
+    return _series_coefficient(s, k, -1, budget or Budget(f"Sym{k}"))
 
 
-def wedge_power(s: LaurentPoly, k: int) -> LaurentPoly:
-    """Wedge^k of any sum: the s^k coefficient of prod_d (1 + s O(d))^(m_d)."""
-    return _series_coefficient(s, k, 1)
+def wedge_power(s: LaurentPoly, k: int, budget: Budget | None = None) -> LaurentPoly:
+    """Wedge^k of any sum: the s^k coefficient of prod_d (1 + s O(d))^(m_d).
+    Its work is spent from `budget`, a fresh one by default."""
+    return _series_coefficient(s, k, 1, budget or Budget(f"Wedge{k}"))
 
 
 @lru_cache(maxsize=None)

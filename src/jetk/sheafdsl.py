@@ -14,18 +14,17 @@ Grammar (whitespace insignificant, ASCII digits, integers may be negative):
 A bare 'O' is the structure sheaf.  The jet argument is a single twist;
 its side does not change the class, but splitting queries dispatch on it.
 Evaluation maps every node to a sum of twists, with Omega = (N+1) O(-1) - O
-by the Euler sequence.  Powers and jet orders are at most MAX_POWER; the
-interpreter charges each power, product and the final map to K(P^N) against
-the work budget MAX_WORK from the real operands and N before running it.
+by the Euler sequence.  Powers and jet orders are at most MAX_POWER.  One
+evaluation spends one ``kring.Budget`` of MAX_WORK units: each product and
+the final map to K(P^N) is charged from the real operands and N before it
+runs, and each power or jet series counts its own work as it runs.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate
-
 from . import kring
 from .exact_arith import LaurentPoly, Record, TruncPoly
+from .kring import MAX_WORK, MUL_BITS, PRODUCT_WORK, Budget, binom_bits
 
 SIDES = ("left", "right")  # the two module structures of a jet bundle
 
@@ -289,63 +288,10 @@ def print_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# Most work one evaluation may do, in units of about one step of a series or
-# product loop on small ints.  On top of its step, a product of an a-bit and
-# a b-bit int costs a*b / _MUL_BITS, a ratio step c * f // i of sum_to_class
-# bits(c) (100 + bits(f)) / _MUL_BITS, and a new term _TERM_WORK.  Timed over
-# 60 shapes on a 2-vCPU machine (Python 3.11), a unit took at most 0.36 us, so
-# a budget is a few seconds at most: Sym1000(O(1) + O(2)) at N = 1000 is
-# charged 7.4e6 (1.3 s) and Sym40(Sym40(O(1) + O(2))) 1.2e7 (3.3 s).
-MAX_WORK = 10**7
-_MUL_BITS, _TERM_WORK = 10**5, 4
-
-
-def charge(spent: int, work: int, what: str) -> int:
-    """spent + work; a ValueError naming the step `what` if that exceeds MAX_WORK."""
-    spent += work
-    if spent > MAX_WORK:
-        raise ValueError(f"{what} needs about {spent} coefficient operations, "
-                         f"over the budget of {MAX_WORK}")
-    return spent
-
-
-def _bits(n: int, k: int) -> float:
-    """At least log2 binom(n + k, k) for n, k >= 0, as binom(a, m) <= (e a/m)^m."""
-    m = min(n, k)
-    return m * (math.log2(n + k) - math.log2(m) + 1.45) if m else 0.0
-
-
 def _extent(s: LaurentPoly) -> tuple:
     """Term count, largest |multiplicity|, lowest and highest twist of a sum."""
     sizes = [abs(c) for _, c in s.items()]
     return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
-
-
-def _series_cost(s: LaurentPoly, k: int, sign: int) -> int:
-    """Work of kring's Sym^k (sign -1) or Wedge^k (sign 1) series, pair for pair.
-    Like the series, twist i of multiplicity m makes level j from the held
-    levels j - r, r = 0..rmax (rmax = |m| if sign*m > 0, else k); a level holds
-    at most the products that made it and j*S + 1 terms, S the span of the
-    twists so far.  A product is of the bits of binom(|m|+k-1, k) and of
-    binom(R+k-1, k), R the total |multiplicity|.  Counting stops once past
-    MAX_WORK, where the step is refused anyway."""
-    held = _bits(max(sum(abs(m) for _, m in s.items()) - 1, 0), k) / _MUL_BITS
-    work, levels, lo, hi = 0, [1], math.inf, -math.inf  # terms of each held level
-    for d, m in s.items():
-        lo, hi = min(lo, d), max(hi, d)
-        rmax, top = min(abs(m), k) if sign * m > 0 else k, len(levels) - 1
-        reach, excess = min(top + rmax, k), max(0, top + rmax - k)
-        below = [0, *accumulate(levels)]  # terms in the levels below t
-        # level j is made from levels max(0, j - rmax) .. min(j, top)
-        upper = below[1:] + below[-1:] * (reach - top)
-        products = [u - b for u, b in zip(upper, [0] * rmax + below)]
-        levels = [min(p, j * (hi - lo) + 1) for j, p in enumerate(products)]
-        pairs = (top + 1) * (rmax + 1) - excess * (excess + 1) // 2  # t + r <= k
-        work += reach + 1 + pairs + sum(products) * (1 + _bits(abs(m) - 1, k) * held)
-        work += _TERM_WORK * sum(levels)
-        if work > MAX_WORK:
-            break
-    return int(work)
 
 
 def evaluate(e, N: int) -> TruncPoly:
@@ -353,14 +299,13 @@ def evaluate(e, N: int) -> TruncPoly:
 
     Every node becomes a sum of twists, a Laurent polynomial in [O(1)].
     J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l) = Sym^k(Omega + O)
-    (x) O(l), and Omega + O = (N+1) O(-1).  Each power, jet, product and the
-    final sum_to_class is charged against MAX_WORK before it runs."""
+    (x) O(l), and Omega + O = (N+1) O(-1).  All steps spend from one Budget;
+    the step that takes it past MAX_WORK raises a ValueError naming it."""
     if N < 1:
         raise ValueError("N must be positive")
-    spent = 0
+    budget = Budget()
 
     def value(e) -> LaurentPoly:
-        nonlocal spent
         if isinstance(e, Twist):
             return LaurentPoly.monomial(e.d)
         if isinstance(e, Structure):
@@ -372,29 +317,28 @@ def evaluate(e, N: int) -> TruncPoly:
         if isinstance(e, Tensor):
             a, b = value(e.left), value(e.right)
             (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = _extent(a), _extent(b)
-            work = n1 * n2 * (1 + big1.bit_length() * big2.bit_length() / _MUL_BITS)
-            work += _TERM_WORK * min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
-            spent = charge(spent, int(work), f"a product of twist sums of lengths {n1} and {n2}")
+            bits = (big1.bit_length() + 100) * (big2.bit_length() + 100)
+            work = n1 * n2 * (PRODUCT_WORK + bits / MUL_BITS)
+            work += min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
+            budget.spend(int(work), f"a product of twist sums of lengths {n1} and {n2}")
             return a * b
         if isinstance(e, Dual):
             return value(e.arg).dual()
         if isinstance(e, (Sym, Wedge)):
             s, k = value(e.arg), e.power
-            what = f"{type(e).__name__}{k} of a twist sum of length {len(s.items())}"
-            spent = charge(spent, _series_cost(s, k, 1 if isinstance(e, Wedge) else -1), what)
-            return (kring.sym_power if isinstance(e, Sym) else kring.wedge_power)(s, k)
+            budget.step = f"{type(e).__name__}{k} of a twist sum of length {len(s.items())}"
+            return (kring.sym_power if isinstance(e, Sym) else kring.wedge_power)(s, k, budget)
         if isinstance(e, Jet):
-            s, k = LaurentPoly({-1: N + 1}), e.order
-            spent = charge(spent, _series_cost(s, k, -1), f"J{k} on P^{N}")
-            return kring.sym_power(s, k).shift(e.arg.d)
+            budget.step = f"J{e.order} on P^{N}"
+            return kring.sym_power(LaurentPoly({-1: N + 1}), e.order, budget).shift(e.arg.d)
         raise TypeError(f"not an expression node: {e!r}")
 
     # sum_to_class takes N ratio steps per twist O(d), or 1 - d if d <= 0 is
     # fewer, by factors up to |d| + N, on multiples of binom(|d| + N, N).
     n, big, lo, hi = _extent(s := value(e))
     top = max(-lo, hi)
-    bits = big.bit_length() + _bits(top, N)
+    bits = big.bit_length() + binom_bits(top, N)
     steps = n * (N if hi > 0 else min(N, 1 - lo))
-    work = 2 * n + steps * (1 + bits * (100 + (top + N).bit_length()) / _MUL_BITS)
-    charge(spent, int(work), f"the class on P^{N} of a twist sum of length {n}")
+    work = 2 * n + steps * (1 + (bits + 100) * ((top + N).bit_length() + 100) / MUL_BITS)
+    budget.spend(int(work), f"the class on P^{N} of a twist sum of length {n}")
     return kring.sum_to_class(s, N)

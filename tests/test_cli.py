@@ -4,18 +4,20 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetk
-from jetk import cli, p1lab, sheafdsl
+from jetk import cli, kring, p1lab, sheafdsl
 from jetk.cli import _render_report, emit_json, run
 from jetk.exact_arith import binom
 from jetk.report import REFUTED, VERIFIED, Report, Step
@@ -49,6 +51,14 @@ def _chain(n):
     return " * ".join(f"(O(0) + O({2 ** i}))" for i in range(n))
 
 
+def _assert_over_budget(err, step, need):
+    """err is the budget error of `step`, with a count past the budget."""
+    budget = sheafdsl.MAX_WORK
+    match = re.fullmatch(rf"error: {re.escape(step)} needs {need} (\d+) coefficient "
+                         rf"operations, over the budget of {budget}\n", err)
+    assert match and int(match[1]) > budget, err
+
+
 def test_deep_expressions_are_input_errors(capsys):
     deep = [
         "(" * 2000 + "O(1)" + ")" * 2000,
@@ -66,23 +76,24 @@ def test_deep_expressions_are_input_errors(capsys):
             assert err.startswith("error: at position")
             assert "Traceback" not in err
     # Over the work budget: the interpreter names the step that went over,
-    # before running it, and no position.  The tower's multiplicity has
-    # millions of bits, the 14 factors have 16384 twists on P^1000, and the
-    # chains of 22 and 41 factors stop at the product that would make 2^20.
+    # and no position.  A product or the final class is charged its whole
+    # estimate before it runs; a series counts its work as it runs, so its
+    # number is a lower bound.  The tower's third power has a multiplicity of
+    # 1996 bits, the 14 factors have 16384 twists on P^1000, and the chains
+    # of 22 and 41 factors stop at the product that would make 2^21.
     over = [
-        ("2", "Sym1000(Sym1000(Sym1000(O + O)))", "Sym1000 of a twist sum of length 1"),
-        ("1000", _chain(14), "the class on P^1000 of a twist sum of length 16384"),
-        ("2", _chain(22), "a product of twist sums of lengths 524288 and 2"),
-        ("1", "Sym80(Sym80(O(1) + O(2)))", "Sym80 of a twist sum of length 81"),
-        ("2", _chain(41), "a product of twist sums of lengths 524288 and 2"),
+        ("2", "Sym1000(Sym1000(Sym1000(O + O)))", "Sym1000 of a twist sum of length 1", "at least"),
+        ("1000", _chain(14), "the class on P^1000 of a twist sum of length 16384", "about"),
+        ("2", _chain(22), "a product of twist sums of lengths 1048576 and 2", "about"),
+        ("1", "Sym80(Sym80(O(1) + O(2)))", "Sym80 of a twist sum of length 81", "at least"),
+        ("2", _chain(41), "a product of twist sums of lengths 1048576 and 2", "about"),
     ]
-    for N, expr, step in over:
+    for N, expr, step, need in over:
         for mode in ([], ["--json"]) if len(expr) < 300 else ([],):
             assert run(["kclass", "-N", N, *mode, expr]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith(f"error: {step} needs about ")
-            assert captured.err.endswith(f"over the budget of {sheafdsl.MAX_WORK}\n")
+            _assert_over_budget(captured.err, step, need)
     # a class too large to print is an input error in jetk's own terms,
     # in text and JSON mode alike
     nines = "O(" + "9" * 2000 + ")"
@@ -273,6 +284,28 @@ def test_verify_mainsplit_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "verdict: refuted" in out
     assert run(["verify", "mainsplit", "-N", "3", "-l", "-1"]) == 2
+    capsys.readouterr()
+
+
+def test_verify_mainsplit_charges_its_twist_classes(capsys):
+    # the charged Omega (x) O(l) comes before the classes of O(l) and O(l-1),
+    # so a twist of 4001 digits is refused before any class of it is built
+    huge, original, seen = "1" + "0" * 4000, kring.sum_to_class, []
+
+    def to_class(s, N):
+        seen.append(max(abs(d) for d, _ in s.items()))
+        assert seen[-1] < 100, "sum_to_class got the huge twist"
+        return original(s, N)
+
+    with mock.patch.object(kring, "sum_to_class", to_class):
+        for mode in ([], ["--json"]):
+            assert run(["verify", "mainsplit", "-N", "1000", "-l", huge, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            _assert_over_budget(captured.err, "the class on P^1000 of a twist sum of length 2", "about")
+        assert seen == []
+        assert run(["verify", "mainsplit", "-N", "1000", "-l", "7"]) == 0
+    assert seen
     capsys.readouterr()
 
 

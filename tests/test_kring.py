@@ -3,8 +3,12 @@
 import random
 from itertools import combinations, combinations_with_replacement
 
+import pytest
+
 from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.kring import (
+    MAX_WORK,
+    Budget,
     class_of_twist,
     cohomology_dim,
     sum_to_class,
@@ -163,6 +167,35 @@ def test_powers_of_virtual_sums_obey_addition_formula():
                 for i in range(k + 1):
                     expected = expected + power(a, i) * power(b, k - i)
                 assert power(a + b, k) == expected
+
+
+def test_series_spends_its_loops():
+    # On small ints a ratio step and a level pair cost 1 unit, a product 2
+    # and a new term 1, counted by hand from the series' loops.
+    cases = [
+        # one twist: 5 ratio steps, levels 0..5 of one pair and product each, 6 terms
+        (sym_power, LaurentPoly({4: 1}), 5, 5 + 6 * (1 + 2) + 6),
+        # the second twist makes level j from levels 0..j: 6 pairs and products
+        (sym_power, LaurentPoly({0: 1, 1: 1}), 2, (2 + 3 * (1 + 2) + 3) + (2 + 6 * (1 + 2) + 6)),
+        # a Wedge factor ends at the multiplicity: 1 ratio step a twist, and
+        # levels 0..2 of 1, 2, 1 pairs and products stop short of level 3
+        (wedge_power, LaurentPoly({0: 1, 1: 1}), 3, (1 + 2 * (1 + 2) + 2) + (1 + 4 * (1 + 2) + 4)),
+        # J3 on P^2 is Sym3 of 3 O(-1)
+        (sym_power, LaurentPoly({-1: 3}), 3, 3 + 4 * (1 + 2) + 4),
+    ]
+    for power, s, k, units in cases:
+        budget = Budget("the series")
+        assert power(s, k, budget) == power(s, k)
+        assert budget.spent == units
+        budget.spent = MAX_WORK - units
+        power(s, k, budget)
+        # one unit short: refused at the last charge, before returning
+        budget.spent = MAX_WORK - units + 1
+        with pytest.raises(ValueError, match=f"^the series needs at least {MAX_WORK + 1} "):
+            power(s, k, budget)
+    # without a budget a series gets a full one of its own
+    with pytest.raises(ValueError, match="^Sym1000 needs at least "):
+        sym_power(LaurentPoly({0: binom(2000, 1000)}), 1000)
 
 
 def test_sym_omega_base_cases():
