@@ -15,7 +15,8 @@ coefficients; ``sum_to_class`` maps it to its class.  Sym^k and Wedge^k of
 such a sum are the s^k coefficients of prod_d (1 - s O(d))^(-m_d) and
 prod_d (1 + s O(d))^(m_d).  The series counts its own work as it runs, in
 units of MAX_WORK spent from a ``Budget``, and stops with a ValueError once
-that is spent; ``sheafdsl.evaluate`` passes one budget to all its steps.
+that is spent; ``sum_to_class`` charges all its work first.  Each takes a
+fresh budget by default; ``sheafdsl.evaluate`` passes one to all its steps.
 ``sym_omega`` instead runs the recursion
 
     sum_{i<=k} [Sym^i Omega^1] = binom(N+k, N) * [O(-k)]
@@ -35,12 +36,14 @@ from .exact_arith import LaurentPoly, TruncPoly, binom
 
 # Most work one evaluation may do, in units of about one loop step on small
 # ints: a series level pair or ratio step, a sum_to_class ratio step, a new
-# term.  A product added into a sum costs PRODUCT_WORK, and any product of an
-# a-bit and a b-bit int (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34
-# series shapes on a 2-vCPU machine (Python 3.11), a unit took 0.04-0.14 us
-# in a series, up to 0.2 us in sum_to_class: a budget is a second or two.
+# term.  A product added into a sum costs PRODUCT_WORK in a series, a pair
+# of terms of a tensor product PAIR_WORK (0.19-0.24 us a pair against
+# 0.10-0.17 us a series unit), and any product of an a-bit and a b-bit int
+# (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34 series shapes on a
+# 2-vCPU machine (Python 3.11), a unit took 0.04-0.14 us in a series, up to
+# 0.2 us in sum_to_class: a budget is a second or two.
 MAX_WORK = 10**7
-MUL_BITS, PRODUCT_WORK = 10**5, 2
+MUL_BITS, PRODUCT_WORK, PAIR_WORK = 10**5, 2, 1.5
 
 
 class Budget:
@@ -71,20 +74,33 @@ def binom_bits(n: int, k: int) -> int:
     return math.ceil(m * (math.log2(n + k) - math.log2(m) + 1.45)) if m else 0
 
 
+def extent(s: LaurentPoly) -> tuple:
+    """Term count, largest |multiplicity|, lowest and highest twist of a sum."""
+    sizes = [abs(c) for _, c in s.items()]
+    return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
+
+
 def class_of_twist(N: int, d: int) -> TruncPoly:
     """The class of O(d) in K(P^N)."""
     return sum_to_class(LaurentPoly.monomial(d), N)
 
 
-def sum_to_class(s: LaurentPoly, N: int) -> TruncPoly:
+def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncPoly:
     """The class in K(P^N) of a sum of twists; additive and multiplicative.
 
     m O(d) adds c_i = m * binom(d+i-1, i) to the coefficient of t^i, by the
     ratio c_i = c_{i-1} * (d+i-1) / i, which reaches 0 and stays there
-    exactly when d <= 0.
-    """
+    exactly when d <= 0: N steps, or 1 - d if fewer, by factors up to
+    |d| + N on multiples of binom(|d| + N, N).  They are charged to
+    `budget`, a fresh one by default, before the first runs."""
     if N < 1:
         raise ValueError("N must be positive")
+    n, big, lo, hi = extent(s)
+    top = max(-lo, hi)
+    bits = big.bit_length() + binom_bits(top, N)
+    steps = n * (N if hi > 0 else min(N, 1 - lo))
+    work = 2 * n + steps * (1 + (bits + 100) * ((top + N).bit_length() + 100) / MUL_BITS)
+    (budget or Budget()).spend(int(work), f"the class on P^{N} of a twist sum of length {n}")
     coeffs = [0] * (N + 1)
     for d, c in s.items():
         coeffs[0] += c

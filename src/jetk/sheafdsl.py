@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import kring
 from .exact_arith import LaurentPoly, Record, TruncPoly
-from .kring import MAX_WORK, MUL_BITS, PRODUCT_WORK, Budget, binom_bits
+from .kring import MAX_WORK, MUL_BITS, PAIR_WORK, Budget, extent
 
 SIDES = ("left", "right")  # the two module structures of a jet bundle
 
@@ -288,12 +288,6 @@ def print_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _extent(s: LaurentPoly) -> tuple:
-    """Term count, largest |multiplicity|, lowest and highest twist of a sum."""
-    sizes = [abs(c) for _, c in s.items()]
-    return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
-
-
 def evaluate(e, N: int) -> TruncPoly:
     """Evaluate an expression to its class in K(P^N).
 
@@ -316,9 +310,9 @@ def evaluate(e, N: int) -> TruncPoly:
             return value(e.left) + value(e.right)
         if isinstance(e, Tensor):
             a, b = value(e.left), value(e.right)
-            (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = _extent(a), _extent(b)
+            (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = extent(a), extent(b)
             bits = (big1.bit_length() + 100) * (big2.bit_length() + 100)
-            work = n1 * n2 * (PRODUCT_WORK + bits / MUL_BITS)
+            work = n1 * n2 * (PAIR_WORK + bits / MUL_BITS)
             work += min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
             budget.spend(int(work), f"a product of twist sums of lengths {n1} and {n2}")
             return a * b
@@ -333,12 +327,4 @@ def evaluate(e, N: int) -> TruncPoly:
             return kring.sym_power(LaurentPoly({-1: N + 1}), e.order, budget).shift(e.arg.d)
         raise TypeError(f"not an expression node: {e!r}")
 
-    # sum_to_class takes N ratio steps per twist O(d), or 1 - d if d <= 0 is
-    # fewer, by factors up to |d| + N, on multiples of binom(|d| + N, N).
-    n, big, lo, hi = _extent(s := value(e))
-    top = max(-lo, hi)
-    bits = big.bit_length() + binom_bits(top, N)
-    steps = n * (N if hi > 0 else min(N, 1 - lo))
-    work = 2 * n + steps * (1 + (bits + 100) * ((top + N).bit_length() + 100) / MUL_BITS)
-    budget.spend(int(work), f"the class on P^{N} of a twist sum of length {n}")
-    return kring.sum_to_class(s, N)
+    return kring.sum_to_class(value(e), N, budget)

@@ -1,5 +1,7 @@
 """Reference code and accessors the tests share; jetk itself needs none of it."""
 
+from fractions import Fraction
+
 from jetk.exact_arith import TruncPoly
 
 
@@ -48,3 +50,27 @@ def step_values(report, fragment: str) -> dict:
         if fragment in step.description:
             return step.values
     raise KeyError(f"no step matching {fragment!r}")
+
+
+def rref(rows, ncols):
+    """In-place reduced row echelon form over Fraction; returns pivot columns."""
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots

@@ -290,12 +290,12 @@ def test_verify_mainsplit_exit_codes(capsys):
 def test_verify_mainsplit_charges_its_twist_classes(capsys):
     # the charged Omega (x) O(l) comes before the classes of O(l) and O(l-1),
     # so a twist of 4001 digits is refused before any class of it is built
-    huge, original, seen = "1" + "0" * 4000, kring.sum_to_class, []
+    huge, original, built = "1" + "0" * 4000, kring.sum_to_class, []
 
-    def to_class(s, N):
-        seen.append(max(abs(d) for d, _ in s.items()))
-        assert seen[-1] < 100, "sum_to_class got the huge twist"
-        return original(s, N)
+    def to_class(s, N, budget=None):
+        result = original(s, N, budget)  # charges its work before building
+        built.append(max(abs(d) for d, _ in s.items()))
+        return result
 
     with mock.patch.object(kring, "sum_to_class", to_class):
         for mode in ([], ["--json"]):
@@ -303,9 +303,9 @@ def test_verify_mainsplit_charges_its_twist_classes(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             _assert_over_budget(captured.err, "the class on P^1000 of a twist sum of length 2", "about")
-        assert seen == []
+        assert built == []
         assert run(["verify", "mainsplit", "-N", "1000", "-l", "7"]) == 0
-    assert seen
+    assert built and max(built) < 100
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact K(P^N) coordinates and line-bundle combinatorics."""
 
 import random
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -69,6 +70,23 @@ def test_sum_to_class_pairs():
     assert sum_to_class(LaurentPoly({1: 2}), 1).coeffs == (2, 2)
     assert sum_to_class(LaurentPoly({0: 1, 2: 1}), 1).coeffs == (2, 2)
     assert sum_to_class(LaurentPoly({}), 1) == TruncPoly.zero(2)
+
+
+def test_sum_to_class_charges_its_budget():
+    # without a budget it charges a fresh one, so a direct call is bounded:
+    # unbounded, this class ran for about a minute
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^the class on P\^1000 of a twist sum of length 1 "
+                                         r"needs about \d+ coefficient operations"):
+        class_of_twist(1000, 10**4000)
+    assert time.perf_counter() - start < 1
+    # a budget passed in is the one charged
+    budget = Budget()
+    sum_to_class(LaurentPoly({1: 2, -3: 1}), 4, budget)
+    assert budget.spent > 0
+    budget.spent = MAX_WORK
+    with pytest.raises(ValueError, match=r"^the class on P\^4 of a twist sum of length 2 "):
+        sum_to_class(LaurentPoly({1: 2, -3: 1}), 4, budget)
 
 
 def test_sum_to_class_additive_and_multiplicative():

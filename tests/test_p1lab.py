@@ -26,7 +26,7 @@ from jetk.p1lab import (
 )
 from jetk.report import VERIFIED
 
-from helpers import degree, section_count, step_values
+from helpers import degree, rref, section_count, step_values
 from matrixgen import identity, matmul, random_unimodular
 
 
@@ -174,11 +174,55 @@ def test_section_oracles_require_unit_determinant():
 
 
 def test_splitting_via_h0_on_unimodular_conjugates():
+    # the factors carry Fraction entries, so the section counts run on
+    # equations whose rows must be cleared of denominators
     rng = random.Random(77)
-    base = LaurentMatrix.diagonal_powers([2, 0])
-    for _ in range(5):
-        m = matmul(random_unimodular(rng, 2, +1), base, random_unimodular(rng, 2, -1))
-        assert splitting_via_h0(m) == SplittingType((2, 0))
+    for rank in range(2, 6):
+        degrees = [2, 0, -1, 1, 0][:rank]
+        base = LaurentMatrix.diagonal_powers(degrees)
+        for _ in range(5):
+            m = matmul(random_unimodular(rng, rank, +1), base, random_unimodular(rng, rank, -1))
+            assert splitting_via_h0(m) == birkhoff_split(m) == SplittingType(degrees)
+
+
+# Systems up to 8x8 of ints, or of ints and p/q; the rows past a random
+# number of free ones are integer combinations of them, so many systems are
+# rank-deficient.
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_elimination_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    nrows, ncols, fractions = rng.randint(1, 8), rng.randint(1, 8), rng.random() < 0.5
+
+    def entry():
+        if fractions and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.randint(-9, 9)
+
+    free = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, nrows))]
+    rows = free + [
+        [sum(rng.randint(-2, 2) * row[j] for row in free) for j in range(ncols)]
+        for _ in range(nrows - len(free))
+    ]
+    rng.shuffle(rows)
+    reduced = [list(row) for row in rows]
+    pivots = rref(reduced, ncols)
+    rank, kernel = p1lab._eliminate([list(row) for row in rows], ncols)
+    assert rank == len(pivots)
+    if rank == ncols:
+        assert kernel is None
+        return
+    # integral, a multiple of the oracle's kernel vector for the first
+    # non-pivot column, and so zero on every row
+    assert all(type(x) is int for x in kernel)
+    first = min(set(range(ncols)).difference(pivots))
+    expected = [0] * ncols
+    expected[first] = 1
+    for row, col in zip(reduced, pivots):
+        expected[col] = -row[first]
+    assert kernel[first] != 0
+    assert kernel == [kernel[first] * x for x in expected]
+    assert all(sum(a * x for a, x in zip(row, kernel)) == 0 for row in rows)
 
 
 def test_oracles_agree_on_jet_corpus():

@@ -294,7 +294,9 @@ def test_evaluate_work_budget():
                 # its factors vanish past multiplicity 1; ~0.1 s
                 ("Wedge40(Sym40(O(1) + O(2)))", 3),
                 # 9.8e6 units, 0.8-1.0 s
-                ("Wedge80(Sym80(O(1) + O(2)))", 3)]
+                ("Wedge80(Sym80(O(1) + O(2)))", 3),
+                # 9.4e6 units with a tensor pair at 1.5 units, ~1 s
+                ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3)) * Sym600(O(1) + O(5))", 1)]
     for text, N in admitted:
         assert isinstance(evaluate(parse(text), N), TruncPoly)
     # a series counts as it runs and stops past the budget, so its number is
@@ -308,6 +310,9 @@ def test_evaluate_work_budget():
                 # each power fits the budget, the product with the third does not
                 ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3)) * Sym1000(O(1) + O(5))", 1,
                  "a product of twist sums of lengths 3001 and 1001", "about"),
+                # 1.02e7 units: just over
+                ("Sym1000(O(1) + O(2)) * Sym1000(O(1) + O(3)) * Sym700(O(1) + O(5))", 1,
+                 "a product of twist sums of lengths 3001 and 701", "about"),
                 # sum_to_class takes N steps per positive twist
                 (" + ".join(f"O({d})" for d in range(1, 101)), 10**5,
                  "the class on P^100000 of a twist sum of length 100", "about")]
