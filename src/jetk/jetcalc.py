@@ -107,7 +107,7 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         return Report("jet-structures-non-isomorphic", params, REFUTED, steps)
 
     # charged before the twist classes: its twists l - 1 and l bound their work
-    right_omega = evaluate(Tensor(Omega(), Twist(l)), N)
+    right_omega = evaluate(Tensor((Omega(), Twist(l))), N)
     twist_class = class_of_twist(N, l)
     left_class = (N + 1) * class_of_twist(N, l - 1)
     right_class = right_omega + twist_class

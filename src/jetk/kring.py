@@ -34,12 +34,12 @@ from itertools import accumulate
 
 from .exact_arith import LaurentPoly, TruncPoly, binom
 
-# Most work one evaluation may do, in units of about one loop step on small
-# ints: a series level pair or ratio step, a sum_to_class ratio step, a new
-# term.  A product added into a sum costs PRODUCT_WORK in a series, a pair
-# of terms of a tensor product PAIR_WORK (0.19-0.24 us a pair against
-# 0.10-0.17 us a series unit), and any product of an a-bit and a b-bit int
-# (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34 series shapes on a
+# Most work one evaluation or Birkhoff reduction may do, in units of about one
+# loop step on small ints: a series level pair or ratio step, a sum_to_class
+# ratio step, a new term.  A product added into a sum costs PRODUCT_WORK in a
+# series, a pair of terms of a tensor product PAIR_WORK (0.19-0.24 us a pair
+# against 0.10-0.17 us a series unit), and any product of an a-bit and a b-bit
+# int (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34 series shapes on a
 # 2-vCPU machine (Python 3.11), a unit took 0.04-0.14 us in a series, up to
 # 0.2 us in sum_to_class: a budget is a second or two.
 MAX_WORK = 10**7

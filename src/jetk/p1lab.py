@@ -33,6 +33,7 @@ import math
 from fractions import Fraction
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
+from .kring import Budget
 from .report import REFUTED, VERIFIED, Report, Step
 
 
@@ -110,9 +111,9 @@ class LaurentMatrix(Record):
         call."""
         if self._det_monomial is None:
             d = self.det()
-            if d.is_zero() or not d.is_monomial():
+            if not d.is_monomial():  # zero has no terms
                 raise NotATransitionError(
-                    f"determinant {d} is not a unit monomial; "
+                    f"determinant of {len(d.items())} terms is not a unit monomial; "
                     "not a vector-bundle transition"
                 )
             e = d.min_degree
@@ -219,7 +220,14 @@ def _eliminate(rows, ncols) -> tuple:
     return len(pivots), kernel + [scale] + [0] * (ncols - free - 1)
 
 
-def birkhoff_split(m: LaurentMatrix) -> SplittingType:
+# Work units per entry term a Birkhoff step reads, spent against
+# kring.MAX_WORK.  On long entries a step takes 1.7-1.9 us a term (2-vCPU
+# machine, Python 3.11), so a unit is about 0.2 us, as in kring.  An entry of
+# n terms takes n steps of up to n terms, so n above about 1,400 is refused.
+REDUCTION_WORK = 10
+
+
+def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingType:
     """Splitting degrees {a_i} with m = A * diag(u^a_i) * B, where A is
     invertible over polynomials in u and B over polynomials in 1/u.
 
@@ -231,12 +239,16 @@ def birkhoff_split(m: LaurentMatrix) -> SplittingType:
     the factor B, and the splitting is {d_i}.  Each reduction step
     cancels the leading terms of one row against rows of smaller or
     equal degree, so sum(d_i) strictly decreases toward the determinant
-    exponent and the loop terminates.
+    exponent and the loop terminates.  Each step spends REDUCTION_WORK per
+    entry term from `budget`, a fresh one by default, and past MAX_WORK
+    raises a ValueError naming the reduction.
     """
     _, det_exp = m.det_monomial()
     rows = m.rows()
     r = m.size
+    budget = budget or Budget(f"the Birkhoff reduction of a rank-{r} matrix")
     while True:
+        budget.spend(REDUCTION_WORK * sum(len(e.items()) for row in rows for e in row))
         degs = [max((e.max_degree for e in row if not e.is_zero()), default=None) for row in rows]
         if None in degs:
             raise AssertionError("zero row in a matrix with nonzero determinant")

@@ -10,9 +10,10 @@ Grammar (whitespace insignificant, ASCII digits, integers may be negative):
             | 'J' nat '(' 'O' '(' int ')' ',' ('left'|'right') ')'
             | '(' expr ')'
 
-'+' is direct sum, '*' is tensor product; both parse left associated.
-A bare 'O' is the structure sheaf.  The jet argument is a single twist;
-its side does not change the class, but splitting queries dispatch on it.
+'+' is direct sum and '*' is tensor product; a chain of either is one node,
+``Sum(terms)`` or ``Tensor(factors)``.  A bare 'O' is O(0).  The jet
+argument is a single twist; its side does not change the class, but
+splitting queries dispatch on it.
 Evaluation maps every node to a sum of twists, with Omega = (N+1) O(-1) - O
 by the Euler sequence.  Powers and jet orders are at most MAX_POWER.  One
 evaluation spends one ``kring.Budget`` of MAX_WORK units: each product and
@@ -56,16 +57,26 @@ class Omega(Record):
     __slots__ = ()
 
 
-class Structure(Record):
+class _Chain(Record):
+    """Two or more operands joined by one operator, as a tuple."""
+
     __slots__ = ()
 
+    def __init__(self, operands) -> None:
+        if len(operands) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two operands")
+        super().__init__(tuple(operands))
 
-class Sum(Record):
-    __slots__ = ("left", "right")
+    def __deepcopy__(self, memo):
+        return self  # immutable; a copy recurses 8 frames a level, past the limit
 
 
-class Tensor(Record):
-    __slots__ = ("left", "right")
+class Sum(_Chain):
+    __slots__ = ("terms",)
+
+
+class Tensor(_Chain):
+    __slots__ = ("factors",)
 
 
 class Dual(Record):
@@ -105,8 +116,8 @@ class Jet(Record):
 _FACTOR_EXPECTED = {"'O'", "'Omega'", "'dual'", "'Sym'", "'Wedge'", "'J'", "'('"}
 
 
-# Deepest tree the parser builds.  Parsing, evaluating and comparing a tree
-# recurse per level, so this stays well below the recursion limit (1000).
+# Deepest nesting: a level per group, dual/Sym/Wedge argument and Sum/Tensor
+# node.  Evaluating and comparing recurse per level, below the limit (1000).
 MAX_DEPTH = 100
 
 # Largest Sym/Wedge power and jet order.  The series behind them costs about
@@ -156,7 +167,7 @@ class _Parser:
         return self.advance()
 
     def _nest(self, position: int) -> None:
-        """Count one level of the tree being built: a group or a Sum/Tensor link."""
+        """Count one level down: a group, an argument or a Sum/Tensor node."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise RangeError(position, f"expression nests deeper than {MAX_DEPTH} levels")
@@ -169,23 +180,20 @@ class _Parser:
         self.depth -= 1
         return parsed
 
-    def _expr(self):
-        outer = self.depth
-        node = self._term()
-        while self.peek()[0] == "+":
-            self._nest(self.advance()[2])
-            node = Sum(node, self._term())
-        self.depth = outer
-        return node
+    def _chain(self, op: str, node, operand):
+        """operand (op operand)*: two or more operands make one node, a level
+        down from its first op."""
+        operands = [operand()]
+        if self.peek()[0] == op:
+            self._nest(self.peek()[2])
+            while self.peek()[0] == op:
+                self.advance()
+                operands.append(operand())
+            self.depth -= 1
+        return node(operands) if len(operands) > 1 else operands[0]
 
-    def _term(self):
-        outer = self.depth
-        node = self._factor()
-        while self.peek()[0] == "*":
-            self._nest(self.advance()[2])
-            node = Tensor(node, self._factor())
-        self.depth = outer
-        return node
+    def _expr(self):
+        return self._chain("+", Sum, lambda: self._chain("*", Tensor, self._factor))
 
     def _literal(self, what: str) -> tuple:
         """A digit token as an int, and its position."""
@@ -196,8 +204,12 @@ class _Parser:
             raise RangeError(tok[2], f"{what} of {len(tok[1])} digits is too long") from None
 
     def _int(self) -> int:
+        """A twist degree in parentheses: '(' ['-'] nat ')'."""
+        self.expect("(", "'('")
         sign = -1 if self.peek()[0] == "-" and self.advance() else 1
-        return sign * self._literal("an integer")[0]
+        value = sign * self._literal("an integer")[0]
+        self.expect(")", "')'")
+        return value
 
     def _nat(self, what: str) -> tuple:
         """A power or jet order, at most MAX_POWER, and its position."""
@@ -215,12 +227,7 @@ class _Parser:
             raise ParseError(tok[2], _FACTOR_EXPECTED, repr(word) if word else "end of input")
         self.advance()
         if word == "O":
-            if self.peek()[0] == "(":
-                self.advance()
-                d = self._int()
-                self.expect(")", "')'")
-                return Twist(d)
-            return Structure()
+            return Twist(self._int() if self.peek()[0] == "(" else 0)
         if word == "Omega":
             return Omega()
         if word == "dual":
@@ -237,9 +244,7 @@ class _Parser:
             otok = self.expect("word", "'O'")
             if otok[1] != "O":
                 raise ParseError(otok[2], {"'O'"}, repr(otok[1]))
-            self.expect("(", "'('")
             l = self._int()
-            self.expect(")", "')'")
             self.expect(",", "','")
             stok = self.expect("word", "'left' or 'right'")
             if stok[1] not in SIDES:
@@ -262,23 +267,13 @@ def print_expr(e) -> str:
     """Canonical text for an expression; parse(print_expr(e)) == e."""
     if isinstance(e, Twist):
         return f"O({e.d})"
-    if isinstance(e, Structure):
-        return "O"
     if isinstance(e, Omega):
         return "Omega"
-    if isinstance(e, Sum):
-        right = print_expr(e.right)
-        if isinstance(e.right, Sum):
-            right = f"({right})"
-        return f"{print_expr(e.left)} + {right}"
-    if isinstance(e, Tensor):
-        left = print_expr(e.left)
-        if isinstance(e.left, Sum):
-            left = f"({left})"
-        right = print_expr(e.right)
-        if isinstance(e.right, (Sum, Tensor)):
-            right = f"({right})"
-        return f"{left} * {right}"
+    if isinstance(e, _Chain):
+        # a chain inside a chain it would merge into keeps its parentheses
+        op, grouped = (" + ", Sum) if isinstance(e, Sum) else (" * ", _Chain)
+        return op.join(f"({print_expr(x)})" if isinstance(x, grouped) else print_expr(x)
+                       for x in e._fields()[0])
     if isinstance(e, Dual):
         return f"dual({print_expr(e.arg)})"
     if isinstance(e, (Sym, Wedge)):
@@ -302,20 +297,24 @@ def evaluate(e, N: int) -> TruncPoly:
     def value(e) -> LaurentPoly:
         if isinstance(e, Twist):
             return LaurentPoly.monomial(e.d)
-        if isinstance(e, Structure):
-            return LaurentPoly.monomial(0)
         if isinstance(e, Omega):
             return LaurentPoly({-1: N + 1, 0: -1})
         if isinstance(e, Sum):
-            return value(e.left) + value(e.right)
+            total = {}
+            for term in e.terms:
+                for d, m in value(term).items():
+                    total[d] = total.get(d, 0) + m
+            return LaurentPoly(total)
         if isinstance(e, Tensor):
-            a, b = value(e.left), value(e.right)
-            (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = extent(a), extent(b)
-            bits = (big1.bit_length() + 100) * (big2.bit_length() + 100)
-            work = n1 * n2 * (PAIR_WORK + bits / MUL_BITS)
-            work += min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
-            budget.spend(int(work), f"a product of twist sums of lengths {n1} and {n2}")
-            return a * b
+            a = value(e.factors[0])
+            for b in map(value, e.factors[1:]):  # charged and multiplied left to right
+                (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = extent(a), extent(b)
+                bits = (big1.bit_length() + 100) * (big2.bit_length() + 100)
+                work = n1 * n2 * (PAIR_WORK + bits / MUL_BITS)
+                work += min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
+                budget.spend(int(work), f"a product of twist sums of lengths {n1} and {n2}")
+                a = a * b
+            return a
         if isinstance(e, Dual):
             return value(e.arg).dual()
         if isinstance(e, (Sym, Wedge)):

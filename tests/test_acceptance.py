@@ -149,8 +149,8 @@ def test_criterion_9_dsl_round_trip_and_homomorphism():
         N = rng.randint(1, 4)
         a = _random_split_expr(rng, rng.randint(0, 2))
         b = _random_split_expr(rng, rng.randint(0, 2))
-        assert evaluate(Sum(a, b), N) == evaluate(a, N) + evaluate(b, N)
-        assert evaluate(Tensor(a, b), N) == evaluate(a, N) * evaluate(b, N)
+        assert evaluate(Sum((a, b)), N) == evaluate(a, N) + evaluate(b, N)
+        assert evaluate(Tensor((a, b)), N) == evaluate(a, N) * evaluate(b, N)
     _passed(9, "DSL round trip and ring homomorphism")
 
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -63,7 +64,7 @@ def test_deep_expressions_are_input_errors(capsys):
     deep = [
         "(" * 2000 + "O(1)" + ")" * 2000,
         "dual(" * 400 + "O(1)" + ")" * 400,
-        " + ".join(["O(1)"] * 1500),
+        "(" * 100 + "O" + "*O+O)" * 100,
         "Sym99999999999(O(1))",
         "J1001(O(0), left)",
         "O(" + "9" * 5000 + ")",
@@ -75,6 +76,10 @@ def test_deep_expressions_are_input_errors(capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: at position")
             assert "Traceback" not in err
+    # a flat chain is one level deep, however long
+    for op, expected in ((" + ", "1500 + 1500t"), (" * ", "1 + 1500t")):
+        assert run(["kclass", "-N", "1", op.join(["O(1)"] * 1500)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
     # Over the work budget: the interpreter names the step that went over,
     # and no position.  A product or the final class is charged its whole
     # estimate before it runs; a series counts its work as it runs, so its
@@ -380,6 +385,21 @@ def test_birkhoff_file_errors(tmp_path, capsys):
         assert capsys.readouterr().err == "error: a number of 5000 digits is too long\n"
 
 
+def test_birkhoff_reduction_is_budgeted(tmp_path, capsys):
+    # u + u^2 + ... + u^6000 takes 6001 reduction steps of up to 6002 terms;
+    # unbudgeted, they ran for about 22 s
+    path = tmp_path / "long.txt"
+    entry = " + ".join(f"u^{i}" for i in range(1, 6001))
+    path.write_text(f"1 ; {entry}\n0 ; 1\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        start = time.perf_counter()
+        assert run(["birkhoff", "--matrix", str(path), *mode]) == 2
+        assert time.perf_counter() - start < 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_over_budget(captured.err, "the Birkhoff reduction of a rank-2 matrix", "at least")
+
+
 def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
     # the determinant coefficient c^2 has 5999 digits; text mode never prints it
     c = "7" * 3000
@@ -394,6 +414,16 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
         "error: a number in the result has more than "
         f"{sys.get_int_max_str_digits()} digits\n"
     )
+    # a determinant that is not a monomial is named by its term count, not
+    # printed: c^2 u^2 + 3c u + 1 has a 6000-digit coefficient
+    c = "9" * 3000
+    path.write_text(f"{c}*u + 1 ; 1\n1 ; {c}*u + 2\n", encoding="utf-8")
+    for mode in ([], ["--json"]):
+        assert run(["birkhoff", "--matrix", str(path), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: determinant of 3 terms is not a unit monomial; "
+                                "not a vector-bundle transition\n")
     # the degrees print, but the determinant exponent has one digit more
     n = "9" * sys.get_int_max_str_digits()
     path.write_text(f"u^{n} ; 0\n0 ; u^{n}\n", encoding="utf-8")

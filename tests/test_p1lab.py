@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jetk import p1lab
 from jetk.cli import run
 from jetk.exact_arith import LaurentPoly, laurent_from_string
+from jetk.kring import MAX_WORK, Budget
 from jetk.p1lab import (
     LaurentMatrix,
     NotATransitionError,
@@ -130,6 +131,38 @@ def test_birkhoff_invariance_under_unimodular_factors(seed, rank):
     assert birkhoff_split(transformed) == birkhoff_split(m)
     _, det_exp = transformed.det_monomial()
     assert sum(birkhoff_split(transformed).degrees) == det_exp
+
+
+def _long_entry(n):
+    """[[1, u + u^2 + ... + u^n], [0, 1]]: a reduction of n steps of up to n terms."""
+    return LaurentMatrix([[u(0), LaurentPoly(dict.fromkeys(range(1, n + 1), 1))],
+                          [LaurentPoly.zero(), u(0)]])
+
+
+def _unitriangular(rng, r, lower):
+    """A dense constant unitriangular matrix with entries in [-3, 3]."""
+    return LaurentMatrix([[1 if i == j else rng.randint(-3, 3) if (j < i) == lower else 0
+                           for j in range(r)] for i in range(r)])
+
+
+def test_birkhoff_reduction_spends_a_budget():
+    # its n + 1 steps read n + 2, n + 1, ..., 2 terms
+    # (test_cli refuses n = 6000 in both output modes)
+    budget = Budget()
+    assert birkhoff_split(_long_entry(500), budget) == SplittingType((0, 0))
+    assert budget.spent == p1lab.REDUCTION_WORK * sum(range(2, 503))
+    # dense rank 6 as the p1-split benchmark draws them: constant factors
+    # around degrees 0 or 1 plus a common twist
+    rng = random.Random(6)
+    for _ in range(5):
+        shift = rng.randint(-1, 1)
+        degrees = [rng.randint(0, 1) + shift for _ in range(6)]
+        m = matmul(_unitriangular(rng, 6, True), _unitriangular(rng, 6, False),
+                   LaurentMatrix.diagonal_powers(degrees),
+                   _unitriangular(rng, 6, True), _unitriangular(rng, 6, False))
+        budget = Budget()
+        assert birkhoff_split(m, budget) == SplittingType(degrees)
+        assert budget.spent < MAX_WORK / 1000
 
 
 def test_determinant_law():
@@ -407,4 +440,7 @@ def test_non_monomial_determinant_is_never_remembered(expansions, tmp_path, caps
     path.write_text(str(bad), encoding="utf-8")
     for _ in range(2):
         assert run(["birkhoff", "--matrix", str(path)]) == 2
-        assert "not a unit monomial" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: determinant of 3 terms is not a unit monomial; "
+            "not a vector-bundle transition\n"
+        )

@@ -11,7 +11,6 @@ from jetk.sheafdsl import (
     Dual,
     Jet,
     Omega,
-    Structure,
     Sum,
     Sym,
     Tensor,
@@ -29,7 +28,6 @@ twists = st.builds(Twist, st.integers(-9, 9))
 leaves = st.one_of(
     twists,
     st.just(Omega()),
-    st.just(Structure()),
     st.builds(Jet, st.integers(1, 4), twists, st.sampled_from(["left", "right"])),
 )
 
@@ -41,8 +39,9 @@ def expressions(depth: int):
     sub = expressions(depth - 1)
     return st.one_of(
         leaves,
-        st.builds(Sum, sub, sub),
-        st.builds(Tensor, sub, sub),
+        # chains of two or three operands, same-operator chains included
+        st.builds(Sum, st.lists(sub, min_size=2, max_size=3)),
+        st.builds(Tensor, st.lists(sub, min_size=2, max_size=3)),
         st.builds(Dual, sub),
         st.builds(Sym, st.integers(0, 4), sub),
         st.builds(Wedge, st.integers(0, 4), sub),
@@ -60,8 +59,8 @@ def test_print_then_parse_is_identity(e):
 def test_evaluate_maps_sum_and_tensor_to_ring_operations(a, b, N):
     x, y = evaluate(a, N), evaluate(b, N)
     assert isinstance(x, TruncPoly) and x.modulus_exponent == N + 1
-    assert evaluate(Sum(a, b), N) == x + y
-    assert evaluate(Tensor(a, b), N) == x * y
+    assert evaluate(Sum((a, b)), N) == x + y
+    assert evaluate(Tensor((a, b)), N) == x * y
 
 
 @FIXED

@@ -19,7 +19,6 @@ from jetk.sheafdsl import (
     Omega,
     ParseError,
     RangeError,
-    Structure,
     Sum,
     Sym,
     Tensor,
@@ -36,25 +35,28 @@ def test_parse_jet():
 
 
 def test_parse_sym_tensor():
-    assert parse("Sym2(Omega) * O(5)") == Tensor(Sym(2, Omega()), Twist(5))
+    assert parse("Sym2(Omega) * O(5)") == Tensor((Sym(2, Omega()), Twist(5)))
 
 
 def test_parse_bare_structure_sheaf():
-    assert parse("O") == Structure()
-    assert parse("O + O(1)") == Sum(Structure(), Twist(1))
+    assert parse("O") == Twist(0)
+    assert parse("O + O(1)") == Sum((Twist(0), Twist(1)))
+    assert print_expr(parse("O")) == "O(0)"
 
 
 def test_parse_negative_twist_and_parens():
     assert parse("(O(-2) + O(1)) * dual(O(3))") == Tensor(
-        Sum(Twist(-2), Twist(1)), Dual(Twist(3))
+        (Sum((Twist(-2), Twist(1))), Dual(Twist(3)))
     )
 
 
 def test_parse_left_associativity():
-    assert parse("O(1) + O(2) + O(3)") == Sum(Sum(Twist(1), Twist(2)), Twist(3))
-    assert parse("O(1) * O(2) * O(3)") == Tensor(
-        Tensor(Twist(1), Twist(2)), Twist(3)
-    )
+    # a chain is one node; only parentheses nest one chain in another
+    assert parse("O(1) + O(2) + O(3)") == Sum((Twist(1), Twist(2), Twist(3)))
+    assert parse("(O(1) + O(2)) + O(3)") == Sum((Sum((Twist(1), Twist(2))), Twist(3)))
+    assert parse("O(1) * O(2) * O(3)") == Tensor((Twist(1), Twist(2), Twist(3)))
+    assert parse("O(1) * (O(2) * O(3))") == Tensor((Twist(1), Tensor((Twist(2), Twist(3)))))
+    assert parse("O(1) * O(2) + O(3)") == Sum((Tensor((Twist(1), Twist(2))), Twist(3)))
 
 
 def test_parse_error_position_and_expected():
@@ -79,30 +81,38 @@ def test_parse_range_error_for_jet_order_zero():
 
 def test_print_examples():
     assert print_expr(Jet(1, Twist(3), "left")) == "J1(O(3), left)"
-    assert print_expr(Sum(Twist(0), Twist(2))) == "O(0) + O(2)"
-    assert print_expr(Tensor(Sum(Twist(1), Twist(2)), Twist(3))) == "(O(1) + O(2)) * O(3)"
+    assert print_expr(Sum((Twist(0), Twist(2)))) == "O(0) + O(2)"
+    assert print_expr(Tensor((Sum((Twist(1), Twist(2))), Twist(3)))) == "(O(1) + O(2)) * O(3)"
+    assert print_expr(Sum((Twist(1), Twist(2), Tensor((Twist(3), Omega()))))) == (
+        "O(1) + O(2) + O(3) * Omega"
+    )
 
 
 def test_print_preserves_association():
-    right_nested = Sum(Twist(1), Sum(Twist(2), Twist(3)))
-    assert parse(print_expr(right_nested)) == right_nested
-    nested_tensor = Tensor(Twist(1), Tensor(Twist(2), Twist(3)))
-    assert parse(print_expr(nested_tensor)) == nested_tensor
+    a, b, c = Twist(1), Twist(2), Twist(3)
+    for nested in (Sum((a, Sum((b, c)))), Sum((Sum((a, b)), c)),
+                   Tensor((a, Tensor((b, c)))), Tensor((Tensor((a, b)), c)),
+                   Tensor((Sum((a, b)), c))):
+        assert parse(print_expr(nested)) == nested
+    assert print_expr(Sum((Sum((a, b)), c))) == "(O(1) + O(2)) + O(3)"
+    assert print_expr(Tensor((a, Tensor((b, c))))) == "O(1) * (O(2) * O(3))"
+
+
+def _operands(gen, rng, depth):
+    """Two to four subtrees: a chain's operands, same-operator chains included."""
+    return tuple(gen(rng, depth - 1) for _ in range(rng.randint(2, 4)))
 
 
 def _random_expr(rng, depth):
     if depth == 0:
-        kind = rng.choice(["twist", "omega", "structure"])
-        if kind == "twist":
-            return Twist(rng.randint(-9, 9))
-        return Omega() if kind == "omega" else Structure()
+        return Twist(rng.randint(-9, 9)) if rng.random() < 0.7 else Omega()
     kind = rng.choice(["sum", "tensor", "dual", "sym", "wedge", "jet", "leaf"])
     if kind == "leaf":
         return _random_expr(rng, 0)
     if kind == "sum":
-        return Sum(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return Sum(_operands(_random_expr, rng, depth))
     if kind == "tensor":
-        return Tensor(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return Tensor(_operands(_random_expr, rng, depth))
     if kind == "dual":
         return Dual(_random_expr(rng, depth - 1))
     if kind == "sym":
@@ -194,16 +204,14 @@ def test_series_matches_euler_recursion():
 
 def _random_split_expr(rng, depth):
     if depth == 0:
-        return Twist(rng.randint(-6, 6)) if rng.random() < 0.8 else Structure()
+        return Twist(rng.randint(-6, 6))
     kind = rng.choice(["sum", "tensor", "sym", "wedge", "dual", "leaf"])
     if kind == "leaf":
         return _random_split_expr(rng, 0)
     if kind == "sum":
-        return Sum(_random_split_expr(rng, depth - 1), _random_split_expr(rng, depth - 1))
+        return Sum(_operands(_random_split_expr, rng, depth))
     if kind == "tensor":
-        return Tensor(
-            _random_split_expr(rng, depth - 1), _random_split_expr(rng, depth - 1)
-        )
+        return Tensor(_operands(_random_split_expr, rng, depth))
     if kind == "sym":
         return Sym(rng.randint(0, 2), _random_split_expr(rng, depth - 1))
     if kind == "wedge":
@@ -218,8 +226,8 @@ def test_evaluate_is_ring_homomorphism_on_split_fragment():
             N = rng.randint(1, 4)
             a = gen(rng, rng.randint(0, 2))
             b = gen(rng, rng.randint(0, 2))
-            assert evaluate(Sum(a, b), N) == evaluate(a, N) + evaluate(b, N)
-            assert evaluate(Tensor(a, b), N) == evaluate(a, N) * evaluate(b, N)
+            assert evaluate(Sum((a, b)), N) == evaluate(a, N) + evaluate(b, N)
+            assert evaluate(Tensor((a, b)), N) == evaluate(a, N) * evaluate(b, N)
 
 
 def test_evaluate_ignores_jet_side():
@@ -241,18 +249,22 @@ def test_node_constructors_validate():
         Jet(1, Omega(), "left")
     with pytest.raises(ValueError):
         Jet(1, Twist(1), "up")
+    for chain in (Sum, Tensor):
+        for operands in ((), (Twist(1),)):
+            with pytest.raises(ValueError, match="needs at least two operands"):
+                chain(operands)
 
 
 def test_nodes_are_immutable_values():
     x, y = Twist(1), Omega()
-    assert Sum(x, y) != Tensor(x, y)
-    assert Omega() != Structure()
+    assert Sum((x, y)) != Tensor((x, y)) and Sum((x, y)) != Sum((y, x))
+    assert parse("O") == Twist(0) != Omega()
     a, b = parse("Sym2(O(1) + O(2)) * dual(O(3))"), parse("Sym2(O(1)+O(2))*dual(O(3))")
     assert a == b and a is not b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
     assert repr(Twist(3)) == "Twist(d=3)"
-    assert repr(Sum(Twist(1), Omega())) == "Sum(left=Twist(d=1), right=Omega())"
+    assert repr(Sum((Twist(1), Omega()))) == "Sum(terms=(Twist(d=1), Omega()))"
     with pytest.raises(AttributeError, match="Twist is immutable"):
         x.d = 2
     assert x == Twist(1)
@@ -266,10 +278,13 @@ def test_parse_depth_limit():
     assert info.value.position == MAX_DEPTH
     with pytest.raises(RangeError):
         parse("dual(" * (MAX_DEPTH + 1) + "O(1)" + ")" * (MAX_DEPTH + 1))
-    # a flat sum is a left-nested Sum chain, one level per '+'
+    # a flat chain is one level however long; a Sum/Tensor node inside the
+    # deepest group is one too many
+    assert evaluate(parse(" + ".join(["O(1)"] * 1500)), 1).coeffs == (1500, 1500)
+    assert evaluate(parse(" * ".join(["O(1)"] * 1500)), 1).coeffs == (1, 1500)
     with pytest.raises(RangeError) as info:
-        parse(" + ".join(["O(1)"] * (MAX_DEPTH + 2)))
-    assert info.value.position == (MAX_DEPTH + 1) * len("O(1) + ") - 2
+        parse("(" * MAX_DEPTH + "O" + "*O+O)" * MAX_DEPTH)
+    assert info.value.position == MAX_DEPTH + 1
     assert parse(f"Sym{MAX_POWER}(O(1))") == Sym(MAX_POWER, Twist(1))
     for text, position in [(f"Wedge{MAX_POWER + 1}(O(1))", 5),
                            (f"J{MAX_POWER + 1}(O(0), left)", 1),
@@ -281,6 +296,34 @@ def test_parse_depth_limit():
                            ("J" + "9" * 5000 + "(O(0), left)", 1)]:
         with pytest.raises(RangeError) as info:
             parse(text)
+        assert info.value.position == position
+
+
+# The deepest tree of each shape the parser admits, and the position at which
+# one level more is refused: each group, dual/Sym argument and Sum/Tensor node
+# is a level, whatever the length of a chain.
+_DEEPEST = [
+    (lambda k: "(" * k + "O(1)" + ")" * k, MAX_DEPTH, MAX_DEPTH),
+    (lambda k: "dual(" * k + "O(1)" + ")" * k, MAX_DEPTH, 5 * MAX_DEPTH + 4),
+    (lambda k: "Sym1(" * k + "O(1)" + ")" * k, MAX_DEPTH, 5 * MAX_DEPTH + 4),
+    # a Tensor, a group and a Sum a step
+    (lambda k: "O * (O + " * k + "O" + ")" * k, 33, 9 * 33 + 4),
+    # the chains come after the groups close, so only the innermost counts
+    (lambda k: "(" * k + "O*O+O" + ")*O+O" * k, MAX_DEPTH - 1, MAX_DEPTH + 1),
+]
+
+
+def test_deepest_admitted_trees_survive_every_operation():
+    for shape, deepest, position in _DEEPEST:
+        text = shape(deepest)
+        tree = parse(text)
+        assert parse(print_expr(tree)) == tree == parse(text)
+        assert hash(tree) == hash(parse(text))
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+        assert isinstance(evaluate(tree, 2), TruncPoly)
+        with pytest.raises(RangeError, match=f"deeper than {MAX_DEPTH} levels") as info:
+            parse(shape(deepest + 1))
         assert info.value.position == position
 
 
@@ -325,6 +368,6 @@ def test_evaluate_work_budget():
                              rf"over the budget of {MAX_WORK}", str(info.value))
         assert match and int(match[1]) > MAX_WORK, str(info.value)
     # a tree built in code is charged the same as a parsed one
-    tower = Sym(1000, Sym(1000, Sym(1000, Sum(Structure(), Structure()))))
+    tower = Sym(1000, Sym(1000, Sym(1000, Sum((Twist(0), Twist(0))))))
     with pytest.raises(ValueError, match="^Sym1000 of a twist sum of length 1 needs at least "):
         evaluate(tower, 2)
