@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
-from .kring import Budget
+from .kring import MUL_BITS, Budget
 from .report import REFUTED, VERIFIED, Report, Step
 
 
@@ -221,13 +221,31 @@ def _eliminate(rows, ncols) -> tuple:
 
 
 # Work units per entry term a Birkhoff step reads, spent against
-# kring.MAX_WORK.  On long entries a step takes 1.7-1.9 us a term (2-vCPU
-# machine, Python 3.11), so a unit is about 0.2 us, as in kring.  An entry of
-# n terms takes n steps of up to n terms, so n above about 1,400 is refused.
+# kring.MAX_WORK, plus (b + 100)^2 / MUL_BITS when its largest multiplier has
+# b bits: kring's charge for a product, with the row coefficient taken to be
+# as large, since the multipliers come from the rows' leading coefficients.
+# On long entries with small coefficients a step takes 1.0-1.9 us a term
+# (2-vCPU machine shared with other load, Python 3.11), so a unit is 0.1-0.2
+# us, as in kring.  An entry of n terms takes n steps of up to n terms, so n
+# above about 1,400 is refused.
 REDUCTION_WORK = 10
 
 
-def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingType:
+def _primitive(row) -> list:
+    """The row times the positive rational that makes its coefficients
+    integers with gcd 1."""
+    den = functools.reduce(math.lcm, (c.denominator for p in row for _, c in p.items()), 1)
+    g = 0
+    for p in row:
+        for _, c in p.items():
+            g = math.gcd(g, c.numerator * (den // c.denominator))
+            if g == den == 1:
+                return row
+    return [LaurentPoly({e: c.numerator * (den // c.denominator) // g for e, c in p.items()})
+            for p in row]
+
+
+def birkhoff_split(m: LaurentMatrix) -> SplittingType:
     """Splitting degrees {a_i} with m = A * diag(u^a_i) * B, where A is
     invertible over polynomials in u and B over polynomials in 1/u.
 
@@ -239,19 +257,23 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
     the factor B, and the splitting is {d_i}.  Each reduction step
     cancels the leading terms of one row against rows of smaller or
     equal degree, so sum(d_i) strictly decreases toward the determinant
-    exponent and the loop terminates.  Each step spends REDUCTION_WORK per
-    entry term from `budget`, a fresh one by default, and past MAX_WORK
-    raises a ValueError naming the reduction.
+    exponent and the loop terminates.
+
+    Each new row is scaled to int coefficients with gcd 1, since scaling a
+    row by a rational is unimodular too.  Without that the integer kernel
+    multipliers compound: on a product of 20 elementary 2x2 matrices with
+    one-digit entries the multipliers reached 400,000 bits.  Each step
+    spends REDUCTION_WORK per entry term, and more for large multipliers,
+    and past kring.MAX_WORK raises a ValueError naming the reduction.
     """
     _, det_exp = m.det_monomial()
-    rows = m.rows()
     r = m.size
-    budget = budget or Budget(f"the Birkhoff reduction of a rank-{r} matrix")
+    rows = m.rows()
+    budget = Budget(f"the Birkhoff reduction of a rank-{r} matrix")
+    degs = [max((e.max_degree for e in row if not e.is_zero()), default=None) for row in rows]
+    if None in degs:
+        raise AssertionError("zero row in a matrix with nonzero determinant")
     while True:
-        budget.spend(REDUCTION_WORK * sum(len(e.items()) for row in rows for e in row))
-        degs = [max((e.max_degree for e in row if not e.is_zero()), default=None) for row in rows]
-        if None in degs:
-            raise AssertionError("zero row in a matrix with nonzero determinant")
         # a row combination that cancels the leading terms: a kernel vector
         # of the transposed leading-coefficient matrix
         columns = [
@@ -261,6 +283,9 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
         if kernel is None:
             break
         support = [i for i in range(r) if kernel[i] != 0]
+        bits = max(map(abs, kernel)).bit_length()
+        budget.spend((REDUCTION_WORK + (bits + 100) ** 2 // MUL_BITS)
+                     * sum(len(e.items()) for row in rows for e in row))
         target = max(support, key=lambda i: (degs[i], -i))
         new_row = [LaurentPoly.zero() for _ in range(r)]
         for i in support:
@@ -270,7 +295,7 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
         new_deg = max((e.max_degree for e in new_row if not e.is_zero()), default=None)
         if new_deg is None or new_deg >= degs[target]:
             raise AssertionError("row reduction failed to lower the degree")
-        rows[target] = new_row
+        rows[target], degs[target] = _primitive(new_row), new_deg
     if sum(degs) != det_exp:
         raise AssertionError("row-proper degrees do not match the determinant")
     return SplittingType(tuple(degs))

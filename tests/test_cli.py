@@ -386,7 +386,7 @@ def test_birkhoff_file_errors(tmp_path, capsys):
 
 
 def test_birkhoff_reduction_is_budgeted(tmp_path, capsys):
-    # u + u^2 + ... + u^6000 takes 6001 reduction steps of up to 6002 terms;
+    # u + u^2 + ... + u^6000 takes 6000 reduction steps of up to 6002 terms;
     # unbudgeted, they ran for about 22 s
     path = tmp_path / "long.txt"
     entry = " + ".join(f"u^{i}" for i in range(1, 6001))

@@ -145,12 +145,28 @@ def _unitriangular(rng, r, lower):
                            for j in range(r)] for i in range(r)])
 
 
-def test_birkhoff_reduction_spends_a_budget():
-    # its n + 1 steps read n + 2, n + 1, ..., 2 terms
+class _RecordedBudget(Budget):
+    """A Budget that keeps the last one built, to read what a call spent."""
+
+    last = None
+
+    def __init__(self, step=""):
+        super().__init__(step)
+        _RecordedBudget.last = self
+
+
+def test_birkhoff_reduction_spends_a_budget(monkeypatch):
+    monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
+    # its n reduction steps read n + 2, n + 1, ..., 3 terms of unit coefficients
     # (test_cli refuses n = 6000 in both output modes)
-    budget = Budget()
-    assert birkhoff_split(_long_entry(500), budget) == SplittingType((0, 0))
-    assert budget.spent == p1lab.REDUCTION_WORK * sum(range(2, 503))
+    assert birkhoff_split(_long_entry(500)) == SplittingType((0, 0))
+    assert _RecordedBudget.last.step == "the Birkhoff reduction of a rank-2 matrix"
+    assert _RecordedBudget.last.spent == p1lab.REDUCTION_WORK * sum(range(3, 503))
+    # the largest entry admitted, and the smallest refused
+    assert birkhoff_split(_long_entry(1410)) == SplittingType((0, 0))
+    assert _RecordedBudget.last.spent <= MAX_WORK
+    with pytest.raises(ValueError, match="^the Birkhoff reduction of a rank-2 matrix needs at least"):
+        birkhoff_split(_long_entry(1420))
     # dense rank 6 as the p1-split benchmark draws them: constant factors
     # around degrees 0 or 1 plus a common twist
     rng = random.Random(6)
@@ -160,9 +176,48 @@ def test_birkhoff_reduction_spends_a_budget():
         m = matmul(_unitriangular(rng, 6, True), _unitriangular(rng, 6, False),
                    LaurentMatrix.diagonal_powers(degrees),
                    _unitriangular(rng, 6, True), _unitriangular(rng, 6, False))
-        budget = Budget()
-        assert birkhoff_split(m, budget) == SplittingType(degrees)
-        assert budget.spent < MAX_WORK / 1000
+        assert birkhoff_split(m) == SplittingType(degrees)
+        assert _RecordedBudget.last.spent < MAX_WORK / 1000
+
+
+def _elementary_product(rng, count, digits):
+    """A product of count elementary 2x2 matrices [[1, c u], [0, 1]] and
+    [[1, 0], [c u, 1]], alternating, with c of the given number of digits:
+    unimodular over polynomials in u, so of splitting type {0, 0}."""
+    factors = []
+    for k in range(count):
+        e = u(1, rng.randint(10 ** (digits - 1), 10 ** digits - 1))
+        zero, one = LaurentPoly.zero(), u(0)
+        factors.append(LaurentMatrix([[one, e], [zero, one]] if k % 2 else [[one, zero], [e, one]]))
+    return matmul(*factors)
+
+
+def test_birkhoff_rows_stay_primitive(monkeypatch):
+    # each step multiplies the target row by an integer from the leading
+    # coefficients; unless the row's content is divided out, the coefficient
+    # sizes grow like Fibonacci numbers (multipliers of 400,000 bits after 20
+    # one-digit factors) and this reduction runs over the budget
+    monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
+    rng = random.Random(15)
+    assert birkhoff_split(_elementary_product(rng, 40, 1)) == SplittingType((0, 0))
+    assert _RecordedBudget.last.spent < MAX_WORK / 100
+    # with Fraction coefficients too: scaling a row by a rational is unimodular
+    m = _elementary_product(rng, 20, 2)
+    m = LaurentMatrix([[e * Fraction(1, 3) for e in m.rows()[0]], m.rows()[1]])
+    assert birkhoff_split(m) == SplittingType((0, 0))
+
+
+def test_birkhoff_charges_large_coefficients(monkeypatch):
+    # 40 elementary factors with 100-digit entries: the term count of 40
+    # one-digit ones, but rows and step multipliers of about 13,000 bits,
+    # whose products the budget counts by size as kring does
+    monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
+    assert birkhoff_split(_elementary_product(random.Random(1), 40, 1)) == SplittingType((0, 0))
+    small_spent = _RecordedBudget.last.spent
+    assert birkhoff_split(_elementary_product(random.Random(1), 40, 100)) == SplittingType((0, 0))
+    assert _RecordedBudget.last.spent > 50 * small_spent
+    with pytest.raises(ValueError, match="^the Birkhoff reduction of a rank-2 matrix needs at least"):
+        birkhoff_split(_elementary_product(random.Random(1), 40, 400))
 
 
 def test_determinant_law():
