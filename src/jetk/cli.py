@@ -39,6 +39,7 @@ from pathlib import Path
 
 from . import jetcalc, p1lab, sheafdsl
 from .exact_arith import TruncPoly
+from .kring import Budget, product_work
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
 _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
@@ -166,11 +167,12 @@ def _cmd_verify(args):
 
 def _cmd_birkhoff(args):
     matrix = p1lab.matrix_from_text(Path(args.matrix).read_text(encoding="utf-8"))
-    coeff, exponent = matrix.det_monomial()
+    budget = Budget()
+    coeff, exponent = matrix.det_monomial(budget)
     steps = [
         Step("ingested matrix", {"rows": str(matrix).splitlines()}),
         Step("determinant monomial", {"coefficient": coeff, "exponent": exponent}),
-        _splitting_step(p1lab.birkhoff_split(matrix)),
+        _splitting_step(p1lab.birkhoff_split(matrix, budget)),
     ]
     params = {"matrix": str(args.matrix), "size": matrix.size}
     return Report("birkhoff-splitting", params, VERIFIED, steps)
@@ -184,12 +186,16 @@ def _cmd_table(args):
     span = args.lmax - args.lmin
     if span > MAX_N:
         raise ValueError(f"--lmax - --lmin = {span} exceeds the limit of {MAX_N}")
-    steps = []
+    steps, budget = [], Budget()  # one for all the rows
     lines = [f"{'l':>4}  {'left':<12}  {'right':<12}  class"]
     for l in range(args.lmin, args.lmax + 1):
-        left = p1lab.birkhoff_split(p1lab.jet_transition(l, "left"))
-        right = p1lab.birkhoff_split(p1lab.jet_transition(l, "right"))
-        value = jetcalc.jet_class(1, 1, l)
+        left = p1lab.birkhoff_split(p1lab.jet_transition(l, "left"), budget)
+        right = p1lab.birkhoff_split(p1lab.jet_transition(l, "right"), budget)
+        value = jetcalc.jet_class(1, 1, l, budget)
+        # the decimal text of a b-bit int costs about product_work(b, b)
+        # units (0.13 us a unit up to 4,000 digits)
+        bits = [abs(n).bit_length() for n in (l, *left.degrees, *right.degrees, *value.coeffs)]
+        budget.spend(sum(product_work(b, b) for b in bits), "the text of the jet table")
         steps.append(Step(f"first-order jet of O({l})", {
             "l": l, "left": list(left.degrees), "right": list(right.degrees),
             "class": list(value.coeffs),

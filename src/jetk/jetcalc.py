@@ -26,22 +26,26 @@ from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 from .sheafdsl import Jet, Omega, Tensor, Twist, evaluate
 
 
-def jet_class(N: int, k: int, l: int) -> TruncPoly:
-    """[J^k(O(l))] on P^N, the same for both sides, by the lambda-ring series."""
-    return evaluate(Jet(k, Twist(l), "left"), N)
+def jet_class(N: int, k: int, l: int, budget: Budget | None = None) -> TruncPoly:
+    """[J^k(O(l))] on P^N, the same for both sides, by the lambda-ring series,
+    its work spent from `budget`, a fresh one by default."""
+    return evaluate(Jet(k, Twist(l), "left"), N, budget)
 
 
 def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     """Check that the series ``jet_class``, the Euler recursion ``sym_omega``
     telescoped over Sym^i Omega^1, and binom(N+k,N)*[O(l-k)] give one class,
     that of either module structure.  A refutation would indicate a bug.
-    More than ``sheafdsl.MAX_WORK`` predicted operations is a ValueError.
+    The recursion and the series spend from one budget, and each twist
+    class from its own; more than ``sheafdsl.MAX_WORK`` operations is a
+    ValueError.
     """
     # The recursion takes about k^2 (N+26) / 2 ring coefficient operations,
     # 0.25-0.44 us each on a 2-vCPU machine (N, k <= 1000): 1.5 units each.
+    budget = Budget()
     if k > 0:
-        Budget().spend(3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
-    series = jet_class(N, k, l)
+        budget.spend(3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
+    series = jet_class(N, k, l, budget)
     twist_class = class_of_twist(N, l)
     telescoped = TruncPoly.zero(N + 1)
     for i in range(k + 1):

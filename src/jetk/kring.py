@@ -34,16 +34,21 @@ from itertools import accumulate
 
 from .exact_arith import LaurentPoly, TruncPoly, binom
 
-# Most work one evaluation or Birkhoff reduction may do, in units of about one
+# Most work one evaluation, matrix or jet table may do, in units of about one
 # loop step on small ints: a series level pair or ratio step, a sum_to_class
 # ratio step, a new term.  A product added into a sum costs PRODUCT_WORK in a
 # series, a pair of terms of a tensor product PAIR_WORK (0.19-0.24 us a pair
 # against 0.10-0.17 us a series unit), and any product of an a-bit and a b-bit
-# int (a + 100) (b + 100) / MUL_BITS more.  Fitted on 34 series shapes on a
+# int product_work(a, b) more.  Fitted on 34 series shapes on a
 # 2-vCPU machine (Python 3.11), a unit took 0.04-0.14 us in a series, up to
 # 0.2 us in sum_to_class: a budget is a second or two.
 MAX_WORK = 10**7
 MUL_BITS, PRODUCT_WORK, PAIR_WORK = 10**5, 2, 1.5
+
+
+def product_work(a_bits: int, b_bits: int) -> int:
+    """The units a product of an a-bit and a b-bit int adds to its loop step."""
+    return (a_bits + 100) * (b_bits + 100) // MUL_BITS
 
 
 class Budget:
@@ -128,7 +133,7 @@ def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> La
     for d, m in s.items():
         rmax = min(abs(m), k) if sign * m > 0 else k
         bits = binom_bits(abs(m) - 1, k)  # a factor coefficient is at most binom(|m|+k-1, k)
-        budget.spend(rmax * (1 + (bits + 100) * (abs(m).bit_length() + 100) // MUL_BITS))
+        budget.spend(rmax * (1 + product_work(bits, abs(m).bit_length())))
         factor = [1]  # sign^r binom(sign*m, r), by the ratio of consecutive terms
         for r in range(1, rmax + 1):
             factor.append(factor[-1] * (m - sign * (r - 1)) // r)

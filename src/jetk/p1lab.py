@@ -15,15 +15,18 @@ Chart conventions, fixed once for the whole module:
 
 Coefficients are exact: an integral one stays an ``int`` from the matrix
 file to the determinant, and a ``Fraction`` appears only as a literal
-``p/q``, whose denominators the fraction-free elimination over Z clears.
-No floating point and no algebraic closure is ever needed.
+``p/q``.  No floating point and no algebraic closure is ever needed.
 
 The splitting type of a transition matrix is computed two independent
 ways: ``birkhoff_split`` row-reduces the matrix over u-polynomials until
 the leading-coefficient matrix is invertible (the row degrees are then
 the splitting degrees, because the residual factor diag(u^-d_i) * M is
 unimodular over polynomials in 1/u), and ``splitting_via_h0`` recovers
-the degrees from exact global-section counts of twists.
+the degrees from exact global-section counts of twists.  Both start from
+the rows made primitive (int coefficients, gcd 1): a rational row scale
+changes neither the splitting nor any equation's solutions, so their
+elimination kernel works over Z.  The determinant, the reduction and the
+section counts spend from a ``kring.Budget``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
-from .kring import MUL_BITS, Budget
+from .kring import Budget, product_work
 from .report import REFUTED, VERIFIED, Report, Step
 
 
@@ -100,17 +103,16 @@ class LaurentMatrix(Record):
     def rows(self):
         return [list(row) for row in self._entries]
 
-    def det(self) -> LaurentPoly:
-        return _det(self.rows())
-
-    def det_monomial(self) -> tuple:
+    def det_monomial(self, budget: Budget | None = None) -> tuple:
         """(coefficient, exponent) of the determinant; must be a monomial.
 
-        The cofactor expansion runs at most once per matrix; a determinant
-        that is not a monomial is never remembered, so it raises on every
-        call."""
+        The cofactor expansion runs at most once per matrix, and spends its
+        products from `budget`, a fresh one by default; a determinant that
+        is not a monomial is never remembered, so it raises on every call."""
         if self._det_monomial is None:
-            d = self.det()
+            budget = budget or Budget()
+            budget.step = f"the determinant of a rank-{self.size} matrix"
+            d = _det(self.rows(), budget, _pair_work(self._entries))
             if not d.is_monomial():  # zero has no terms
                 raise NotATransitionError(
                     f"determinant of {len(d.items())} terms is not a unit monomial; "
@@ -119,18 +121,6 @@ class LaurentMatrix(Record):
             e = d.min_degree
             object.__setattr__(self, "_det_monomial", (d.coefficient(e), e))
         return self._det_monomial
-
-    def shifted(self, k: int) -> "LaurentMatrix":
-        """u^k times the matrix: the transition of the k-th twist.
-
-        A remembered determinant carries over, since det(u^k M) = u^(rk) det M."""
-        twisted = LaurentMatrix(
-            [[e.shift(k) for e in row] for row in self._entries]
-        )
-        if self._det_monomial is not None:
-            c, e = self._det_monomial
-            object.__setattr__(twisted, "_det_monomial", (c, e + self.size * k))
-        return twisted
 
     def __str__(self):
         return "\n".join(
@@ -150,7 +140,8 @@ class LaurentMatrix(Record):
 
 # Largest rank a matrix file may have.  The cofactor determinant costs r!
 # products: on a 2-vCPU machine a benchmark-shaped rank 8 takes about 2.8 s
-# and a dense constant unimodular rank 9 about 4.2 s; rank 10 costs 10x that.
+# and spends 80-90% of its budget, and a dense constant unimodular rank 9
+# takes about 4.2 s; rank 10 costs 10x that.
 MAX_RANK = 8
 
 
@@ -166,7 +157,26 @@ def matrix_from_text(text: str) -> LaurentMatrix:
     )
 
 
-def _det(rows) -> LaurentPoly:
+# Units per term pair a cofactor product multiplies and adds, spent against
+# kring.MAX_WORK: DET_WORK on ints, FRACTION_DET_WORK if an entry has a p/q,
+# plus kring's size charge.  A pair took 0.27 us on ints (rank 8, 15-term
+# entries) and 3.8-9.6 us on the p1-split benchmark's dense p/q matrices,
+# overhead included (2-vCPU machine shared with other load, Python 3.11),
+# so a unit is 0.13-0.38 us.
+DET_WORK, FRACTION_DET_WORK = 2, 25
+
+
+def _pair_work(entries) -> list:
+    """Units per term pair of a product in the expansion of an n x n minor,
+    by n: its entry has at most b bits and its minor's determinant about
+    (n - 1) b, b the largest numerator or denominator among the entries."""
+    coeffs = [c for row in entries for p in row for _, c in p.items()]
+    bits = max((max(map(abs, c.as_integer_ratio())).bit_length() for c in coeffs), default=0)
+    base = DET_WORK if all(type(c) is int for c in coeffs) else FRACTION_DET_WORK
+    return [base + product_work(bits, (n - 1) * bits) for n in range(len(entries) + 1)]
+
+
+def _det(rows, budget: Budget, pair_work: list) -> LaurentPoly:
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -177,25 +187,30 @@ def _det(rows) -> LaurentPoly:
             minor = [
                 [rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
             ]
-            term = rows[0][j] * _det(minor)
+            minor_det = _det(minor, budget, pair_work)
+            budget.spend(pair_work[n] * len(rows[0][j].items()) * len(minor_det.items()))
+            term = rows[0][j] * minor_det
             total = total + term if sign > 0 else total - term
         sign = -sign
     return total
 
 
-def _eliminate(rows, ncols) -> tuple:
-    """Fraction-free Gauss-Jordan elimination over Z, in place.  Rows are
-    first cleared of denominators; at a pivot p, each other row with an
-    entry f != 0 in its column becomes (p*row - f*pivot_row)/g, g the gcd of
-    the new entries.  Returns the rank, and when it is below ncols an
-    integral kernel vector: x_f = L and x_c = -row_c[f] * L/row_c[c] for
-    c < f, f the first non-pivot column and L the lcm of the pivots before
-    it; at full rank, None."""
-    # reduce, not lcm(*...) or gcd(*row): the tuples those build raised the
-    # p1-split benchmark's peak RSS by about 1 MB at equal query counts
-    for i, row in enumerate(rows):
-        den = functools.reduce(math.lcm, (x.denominator for x in row), 1)
-        rows[i] = [x.numerator * (den // x.denominator) for x in row]
+# Units per entry of a row an elimination step rewrites, plus kring's size
+# charge for its pivot; h0_count adds one per coefficient it reads.  On
+# section-count scans of rank 2-6 a unit took 0.11-0.32 us (2-vCPU machine
+# shared with other load, Python 3.11).
+ELIMINATION_WORK = 2
+
+
+def _eliminate(rows, ncols, budget: Budget) -> tuple:
+    """Fraction-free Gauss-Jordan elimination over Z, in place, of int rows:
+    at a pivot p, each other row with an entry f != 0 in its column becomes
+    (p*row - f*pivot_row)/g, g the gcd of the new entries.  Returns the
+    rank, and when it is below ncols an integral kernel vector:
+    x_f = L and x_c = -row_c[f] * L/row_c[c] for c < f, f the first
+    non-pivot column and L the lcm of the pivots before it; at full rank,
+    None.  Each rewritten row spends ELIMINATION_WORK per entry from
+    `budget`, and more for a large pivot."""
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -205,10 +220,15 @@ def _eliminate(rows, ncols) -> tuple:
         rows[rank], rows[at] = rows[at], rows[rank]
         top = rows[rank]
         p = top[col]
+        bits = abs(p).bit_length()
+        work = ncols * (ELIMINATION_WORK + product_work(bits, bits))
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != rank:
+                budget.spend(work)
                 row = [p * a - f * b for a, b in zip(row, top)]
+                # reduce, not gcd(*row): the tuple that builds raised the
+                # p1-split benchmark's peak RSS by about 1 MB at equal query counts
                 g = functools.reduce(math.gcd, row)
                 rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
@@ -221,7 +241,7 @@ def _eliminate(rows, ncols) -> tuple:
 
 
 # Work units per entry term a Birkhoff step reads, spent against
-# kring.MAX_WORK, plus (b + 100)^2 / MUL_BITS when its largest multiplier has
+# kring.MAX_WORK, plus product_work(b, b) when its largest multiplier has
 # b bits: kring's charge for a product, with the row coefficient taken to be
 # as large, since the multipliers come from the rows' leading coefficients.
 # On long entries with small coefficients a step takes 1.0-1.9 us a term
@@ -232,20 +252,21 @@ REDUCTION_WORK = 10
 
 
 def _primitive(row) -> list:
-    """The row times the positive rational that makes its coefficients
-    integers with gcd 1."""
-    den = functools.reduce(math.lcm, (c.denominator for p in row for _, c in p.items()), 1)
+    """The row times the positive rational that makes its coefficients ints
+    with gcd 1: the row itself when its coefficients already are."""
+    fractions = [c for p in row for _, c in p.items() if type(c) is not int]
+    den = functools.reduce(math.lcm, (c.denominator for c in fractions), 1)
     g = 0
     for p in row:
         for _, c in p.items():
             g = math.gcd(g, c.numerator * (den // c.denominator))
-            if g == den == 1:
+            if g == 1 and not fractions:
                 return row
     return [LaurentPoly({e: c.numerator * (den // c.denominator) // g for e, c in p.items()})
             for p in row]
 
 
-def birkhoff_split(m: LaurentMatrix) -> SplittingType:
+def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingType:
     """Splitting degrees {a_i} with m = A * diag(u^a_i) * B, where A is
     invertible over polynomials in u and B over polynomials in 1/u.
 
@@ -259,17 +280,19 @@ def birkhoff_split(m: LaurentMatrix) -> SplittingType:
     equal degree, so sum(d_i) strictly decreases toward the determinant
     exponent and the loop terminates.
 
-    Each new row is scaled to int coefficients with gcd 1, since scaling a
-    row by a rational is unimodular too.  Without that the integer kernel
-    multipliers compound: on a product of 20 elementary 2x2 matrices with
-    one-digit entries the multipliers reached 400,000 bits.  Each step
-    spends REDUCTION_WORK per entry term, and more for large multipliers,
-    and past kring.MAX_WORK raises a ValueError naming the reduction.
+    The rows start, and each new row is kept, scaled to int coefficients
+    with gcd 1, since scaling a row by a rational is unimodular too.
+    Without that the integer kernel multipliers compound: on a product of 20
+    elementary 2x2 matrices with one-digit entries the multipliers reached
+    400,000 bits.  The determinant and each step spend from `budget`, a
+    fresh one by default: a step REDUCTION_WORK per entry term, and more for
+    large multipliers.  Past kring.MAX_WORK a ValueError names the step.
     """
-    _, det_exp = m.det_monomial()
+    budget = budget or Budget()
+    _, det_exp = m.det_monomial(budget)
     r = m.size
-    rows = m.rows()
-    budget = Budget(f"the Birkhoff reduction of a rank-{r} matrix")
+    rows = [_primitive(row) for row in m.rows()]
+    budget.step = f"the Birkhoff reduction of a rank-{r} matrix"
     degs = [max((e.max_degree for e in row if not e.is_zero()), default=None) for row in rows]
     if None in degs:
         raise AssertionError("zero row in a matrix with nonzero determinant")
@@ -279,12 +302,12 @@ def birkhoff_split(m: LaurentMatrix) -> SplittingType:
         columns = [
             [rows[i][j].coefficient(degs[i]) for i in range(r)] for j in range(r)
         ]
-        _, kernel = _eliminate(columns, r)
+        _, kernel = _eliminate(columns, r, budget)
         if kernel is None:
             break
         support = [i for i in range(r) if kernel[i] != 0]
         bits = max(map(abs, kernel)).bit_length()
-        budget.spend((REDUCTION_WORK + (bits + 100) ** 2 // MUL_BITS)
+        budget.spend((REDUCTION_WORK + product_work(bits, bits))
                      * sum(len(e.items()) for row in rows for e in row))
         target = max(support, key=lambda i: (degs[i], -i))
         new_row = [LaurentPoly.zero() for _ in range(r)]
@@ -301,45 +324,53 @@ def birkhoff_split(m: LaurentMatrix) -> SplittingType:
     return SplittingType(tuple(degs))
 
 
-def h0_count(m: LaurentMatrix) -> int:
-    """Dimension of the space of global sections of the bundle glued by m.
+def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
+    """Dimension of the space of global sections of the k-th twist of the
+    bundle glued by m.
 
     A section is a pair of polynomial vectors (F0(u), F1(v)) with
-    F0(u) = m(u) * F1(1/u).  Writing adj(m)/det(m) for the inverse shows
-    deg_v F1 <= det_exponent - (r-1)*lo with lo the least entry exponent,
-    so solving on that coefficient range is exhaustive.  Unknowns less the
-    rank of their equations, by fraction-free elimination over Z.
+    F0(u) = u^k m(u) * F1(1/u).  Writing adj/det for the inverse shows
+    deg_v F1 <= det_exponent - (r-1)*lo for u^k m, lo its least entry
+    exponent, so solving on that coefficient range is exhaustive.  Unknowns
+    less the rank of their equations, read at an exponent offset from m's
+    primitive rows, by fraction-free elimination over Z, all spent from
+    `budget`, a fresh one by default.
     """
-    _, det_exp = m.det_monomial()
+    budget = budget or Budget()
+    _, det_exp = m.det_monomial(budget)
     r = m.size
     lo, _ = m._exponent_range()
-    bound = max(0, det_exp - (r - 1) * lo)
+    bound = max(0, det_exp + k - (r - 1) * lo)
+    rows = [_primitive(row) for row in m.rows()]
+    budget.step = f"the section count of a twist of a rank-{r} matrix"
     unknowns = r * (bound + 1)
+    budget.spend(r * max(0, bound - lo - k) * unknowns)  # a unit per coefficient read
     equations = []
     for i in range(r):
-        for e in range(lo - bound, 0):
-            row = [m.entry(i, j).coefficient(e + s)
-                   for j in range(r) for s in range(bound + 1)]
+        for e in range(lo - bound, -k):
+            row = [rows[i][j].coefficient(e + s) for j in range(r) for s in range(bound + 1)]
             if any(row):
                 equations.append(row)
-    return unknowns - _eliminate(equations, unknowns)[0]
+    return unknowns - _eliminate(equations, unknowns, budget)[0]
 
 
-def splitting_via_h0(m: LaurentMatrix) -> SplittingType:
+def splitting_via_h0(m: LaurentMatrix, budget: Budget | None = None) -> SplittingType:
     """Recover the splitting degrees from section counts of twists.
 
     h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so consecutive
     differences count the a_i above each threshold.  The scan range
     [det_exp - (r-1)*hi, det_exp - (r-1)*lo] provably contains every
-    degree.  Independent of birkhoff_split.
+    degree.  Independent of birkhoff_split.  The whole scan spends from
+    `budget`, a fresh one by default.
     """
-    _, det_exp = m.det_monomial()
+    budget = budget or Budget()
+    _, det_exp = m.det_monomial(budget)
     r = m.size
     lo, hi = m._exponent_range()
     amax = det_exp - (r - 1) * lo
     amin = det_exp - (r - 1) * amax
     counts = {
-        k: h0_count(m.shifted(k)) for k in range(-amax - 1, -amin + 1)
+        k: h0_count(m, k, budget) for k in range(-amax - 1, -amin + 1)
     }
     degrees = []
     above = 0
@@ -404,12 +435,14 @@ def atiyah_class_p1(l: int) -> int | Fraction:
 
 def verify_corr_p1(l: int) -> Report:
     """Check: the Atiyah class of O(l) vanishes iff the left and right
-    first-order jet structures have equal Birkhoff splitting."""
+    first-order jet structures have equal Birkhoff splitting.  Both
+    reductions spend from one budget."""
     a_class = atiyah_class_p1(l)
     left_matrix = jet_transition(l, "left")
     right_matrix = jet_transition(l, "right")
-    left_split = birkhoff_split(left_matrix)
-    right_split = birkhoff_split(right_matrix)
+    budget = Budget()
+    left_split = birkhoff_split(left_matrix, budget)
+    right_split = birkhoff_split(right_matrix, budget)
     class_zero = a_class == 0
     splittings_equal = left_split == right_split
     steps = [

@@ -283,16 +283,17 @@ def print_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e, N: int) -> TruncPoly:
+def evaluate(e, N: int, budget: Budget | None = None) -> TruncPoly:
     """Evaluate an expression to its class in K(P^N).
 
     Every node becomes a sum of twists, a Laurent polynomial in [O(1)].
     J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l) = Sym^k(Omega + O)
-    (x) O(l), and Omega + O = (N+1) O(-1).  All steps spend from one Budget;
-    the step that takes it past MAX_WORK raises a ValueError naming it."""
+    (x) O(l), and Omega + O = (N+1) O(-1).  All steps spend from one Budget,
+    the caller's or a fresh one; the step that takes it past MAX_WORK raises
+    a ValueError naming it."""
     if N < 1:
         raise ValueError("N must be positive")
-    budget = Budget()
+    budget = budget or Budget()
 
     def value(e) -> LaurentPoly:
         if isinstance(e, Twist):

@@ -438,6 +438,42 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
     )
 
 
+def test_one_budget_per_invocation(monkeypatch, tmp_path, capsys):
+    # a table's rows, verify ktheory's recursion and series, and birkhoff's
+    # determinant and reduction each spend from the budget the command built:
+    # no callee builds one of its own
+    def second_budget(*args):
+        raise AssertionError("a second budget")
+
+    for module in (p1lab, sheafdsl, kring):
+        monkeypatch.setattr(module, "Budget", second_budget)
+    path = tmp_path / "matrix.txt"
+    path.write_text("u^2 ; 0\n1 - u ; u^-1\n", encoding="utf-8")
+    for argv in (["table", "jets", "-N", "1", "--lmin", "-3", "--lmax", "4"],
+                 ["birkhoff", "--matrix", str(path)]):
+        assert run(argv) == 0, capsys.readouterr().err
+    monkeypatch.setattr(kring, "Budget", cli.Budget)  # each twist class has its own
+    assert run(["verify", "ktheory", "-N", "4", "-k", "3", "-l", "7"]) == 0
+    built = []
+
+    def first_budget():
+        assert not built, "a second budget"
+        built.append(cli.Budget())
+        return built[0]
+
+    monkeypatch.setattr(p1lab, "Budget", first_budget)  # verify atiyah builds its own
+    assert run(["verify", "atiyah", "-l", "-3"]) == 0 and len(built) == 1
+    monkeypatch.undo()
+    capsys.readouterr()
+    # so 1,001 rows of 4,000-digit twists, 2.3 s of work at a budget a row,
+    # go over the one budget; the decimal text of their numbers is charged too
+    lmin = 10**4000
+    assert run(["table", "jets", "-N", "1", "--lmin", str(lmin), "--lmax", str(lmin + 1000)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_over_budget(captured.err, "the Birkhoff reduction of a rank-2 matrix", "at least")
+
+
 def test_table_text_sorted(capsys):
     code = run(["table", "jets", "-N", "1", "--lmin", "-2", "--lmax", "2"])
     out = capsys.readouterr().out

@@ -146,22 +146,29 @@ def _unitriangular(rng, r, lower):
 
 
 class _RecordedBudget(Budget):
-    """A Budget that keeps the last one built, to read what a call spent."""
+    """A Budget that keeps every charge, and the last one built, to read
+    what a call spent."""
 
     last = None
 
     def __init__(self, step=""):
         super().__init__(step)
+        self.charges = []
         _RecordedBudget.last = self
+
+    def spend(self, units, step=None):
+        self.charges.append(units)
+        super().spend(units, step)
 
 
 def test_birkhoff_reduction_spends_a_budget(monkeypatch):
     monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
-    # its n reduction steps read n + 2, n + 1, ..., 3 terms of unit coefficients
-    # (test_cli refuses n = 6000 in both output modes)
+    # its determinant multiplies one pair of int terms, and its n reduction
+    # steps read n + 2, n + 1, ..., 3 terms of unit coefficients (test_cli
+    # refuses n = 6000 in both output modes)
     assert birkhoff_split(_long_entry(500)) == SplittingType((0, 0))
     assert _RecordedBudget.last.step == "the Birkhoff reduction of a rank-2 matrix"
-    assert _RecordedBudget.last.spent == p1lab.REDUCTION_WORK * sum(range(3, 503))
+    assert _RecordedBudget.last.spent == p1lab.DET_WORK + p1lab.REDUCTION_WORK * sum(range(3, 503))
     # the largest entry admitted, and the smallest refused
     assert birkhoff_split(_long_entry(1410)) == SplittingType((0, 0))
     assert _RecordedBudget.last.spent <= MAX_WORK
@@ -176,6 +183,9 @@ def test_birkhoff_reduction_spends_a_budget(monkeypatch):
         m = matmul(_unitriangular(rng, 6, True), _unitriangular(rng, 6, False),
                    LaurentMatrix.diagonal_powers(degrees),
                    _unitriangular(rng, 6, True), _unitriangular(rng, 6, False))
+        m.det_monomial()
+        assert _RecordedBudget.last.spent < MAX_WORK / 100
+        # with the determinant remembered, the reduction alone
         assert birkhoff_split(m) == SplittingType(degrees)
         assert _RecordedBudget.last.spent < MAX_WORK / 1000
 
@@ -212,12 +222,67 @@ def test_birkhoff_charges_large_coefficients(monkeypatch):
     # one-digit ones, but rows and step multipliers of about 13,000 bits,
     # whose products the budget counts by size as kring does
     monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
-    assert birkhoff_split(_elementary_product(random.Random(1), 40, 1)) == SplittingType((0, 0))
-    small_spent = _RecordedBudget.last.spent
-    assert birkhoff_split(_elementary_product(random.Random(1), 40, 100)) == SplittingType((0, 0))
-    assert _RecordedBudget.last.spent > 50 * small_spent
-    with pytest.raises(ValueError, match="^the Birkhoff reduction of a rank-2 matrix needs at least"):
+    spent = []
+    for digits in (1, 100):
+        m = _elementary_product(random.Random(1), 40, digits)
+        m.det_monomial()  # remembered, so the reduction's budget counts the reduction alone
+        assert birkhoff_split(m) == SplittingType((0, 0))
+        spent.append(_RecordedBudget.last.spent)
+    assert spent[1] > 50 * spent[0]
+    # with 400-digit entries the cofactor determinant, which runs first and
+    # multiplies entries of about 53,000 bits, goes over the budget
+    with pytest.raises(ValueError, match="^the determinant of a rank-2 matrix needs at least"):
         birkhoff_split(_elementary_product(random.Random(1), 40, 400))
+
+
+def test_cofactor_determinant_spends_a_budget():
+    # a rank-8 file of 15-term entries with exponents up to 200 (9 KB as
+    # text): its cofactor expansion ran 41 s before it was found not to be a
+    # transition.  Each product is charged DET_WORK per term pair before it
+    # runs, so the expansion stops after at most MAX_WORK / DET_WORK pairs.
+    rng = random.Random(8)
+    m = LaurentMatrix([[LaurentPoly({rng.randint(0, 200): rng.randint(1, 9) for _ in range(15)})
+                        for _ in range(8)] for _ in range(8)])
+    log = _RecordedBudget()
+    with pytest.raises(ValueError, match="^the determinant of a rank-8 matrix needs at least"):
+        m.det_monomial(log)
+    assert sum(log.charges[:-1]) <= MAX_WORK < sum(log.charges)
+    assert all(c % p1lab.DET_WORK == 0 for c in log.charges)
+    # far fewer products than the 69,280 of the whole expansion
+    assert len(log.charges) < 10_000
+    # the same shape with a p/q entry is charged FRACTION_DET_WORK a pair
+    rows = m.rows()
+    rows[7][7] = rows[7][7] * Fraction(1, 2)
+    log = _RecordedBudget()
+    with pytest.raises(ValueError, match="^the determinant of a rank-8 matrix needs at least"):
+        LaurentMatrix(rows).det_monomial(log)
+    assert all(c % p1lab.FRACTION_DET_WORK == 0 for c in log.charges)
+    assert len(log.charges) < 1_000
+
+
+def test_section_count_scan_spends_one_budget(monkeypatch):
+    monkeypatch.setattr(p1lab, "Budget", _RecordedBudget)
+    m = jet_transition(3, "left")
+    assert splitting_via_h0(m) == SplittingType((2, 2))
+    scan = _RecordedBudget.last
+    assert scan.step == "the section count of a twist of a rank-2 matrix"
+    # the scan's counts all spend from it: a count on its own spends less
+    assert 0 < h0_count(m, 1) and 0 < _RecordedBudget.last.spent < scan.spent
+    # a count spends a unit per coefficient it reads into its equations (2
+    # rows of 4 exponents of 8 unknowns here), then ELIMINATION_WORK per
+    # entry of each equation the elimination rewrites
+    rng = random.Random(77)
+    conjugate = matmul(random_unimodular(rng, 2, +1), LaurentMatrix.diagonal_powers([2, 0]),
+                       random_unimodular(rng, 2, -1))
+    conjugate.det_monomial()
+    assert h0_count(conjugate) == 4
+    charges = _RecordedBudget.last.charges
+    assert charges[0] == 2 * 4 * 8 and set(charges[1:]) == {p1lab.ELIMINATION_WORK * 8}
+    # an entry u^-600 widens the scan to 1,202 twists of up to 2,402
+    # unknowns, which ran over 20 s unbudgeted; the budget refuses it
+    wide = LaurentMatrix([[u(0), u(-600)], [LaurentPoly.zero(), u(0)]])
+    with pytest.raises(ValueError, match="^the section count of a twist of a rank-2 matrix needs at least"):
+        splitting_via_h0(wide)
 
 
 def test_determinant_law():
@@ -262,8 +327,8 @@ def test_section_oracles_require_unit_determinant():
 
 
 def test_splitting_via_h0_on_unimodular_conjugates():
-    # the factors carry Fraction entries, so the section counts run on
-    # equations whose rows must be cleared of denominators
+    # the factors carry Fraction entries, so the section counts run on the
+    # matrix rows made primitive
     rng = random.Random(77)
     for rank in range(2, 6):
         degrees = [2, 0, -1, 1, 0][:rank]
@@ -275,7 +340,8 @@ def test_splitting_via_h0_on_unimodular_conjugates():
 
 # Systems up to 8x8 of ints, or of ints and p/q; the rows past a random
 # number of free ones are integer combinations of them, so many systems are
-# rank-deficient.
+# rank-deficient.  The integer kernel runs on the rows made primitive, as
+# the section counts and Birkhoff steps pass them; the oracle on the rows.
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(0, 2**32 - 1))
 def test_elimination_matches_the_fraction_oracle(seed):
@@ -295,7 +361,10 @@ def test_elimination_matches_the_fraction_oracle(seed):
     rng.shuffle(rows)
     reduced = [list(row) for row in rows]
     pivots = rref(reduced, ncols)
-    rank, kernel = p1lab._eliminate([list(row) for row in rows], ncols)
+    cleared = [[p.coefficient(0) for p in p1lab._primitive([LaurentPoly({0: x}) for x in row])]
+               for row in rows]
+    assert all(type(x) is int for row in cleared for x in row)
+    rank, kernel = p1lab._eliminate(cleared, ncols, Budget())
     assert rank == len(pivots)
     if rank == ncols:
         assert kernel is None
@@ -423,13 +492,13 @@ def expansions(monkeypatch):
     depth = 0
     real = p1lab._det
 
-    def counting(rows):
+    def counting(rows, *charge):
         nonlocal depth
         if depth == 0:
             sizes.append(len(rows))
         depth += 1
         try:
-            return real(rows)
+            return real(rows, *charge)
         finally:
             depth -= 1
 
@@ -450,14 +519,16 @@ def test_one_expansion_per_matrix(expansions, tmp_path, capsys):
     assert run(["birkhoff", "--matrix", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "{-1, 0, 2}"
     assert expansions == [3]
-    # the twists handed to h0_count carry the determinant with them
+    # the section counts of every twist read the one determinant
     assert splitting_via_h0(matrix_from_text(str(m))) == SplittingType((2, 0, -1))
     assert expansions == [3, 3]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.randoms(use_true_random=False), st.integers(2, 3), st.integers(-3, 3))
-def test_carried_determinant_matches_a_fresh_expansion(rng, size, k):
+def test_twisted_section_counts_match_the_twisted_matrix(rng, size, k):
+    # unimodular conjugates with Fraction entries, so the counts read the
+    # rows made primitive at an exponent offset
     degrees = [rng.randint(-3, 3) for _ in range(size)]
     m = matmul(
         random_unimodular(rng, size, +1),
@@ -465,17 +536,14 @@ def test_carried_determinant_matches_a_fresh_expansion(rng, size, k):
         random_unimodular(rng, size, -1),
     )
     unasked = LaurentMatrix(m.rows())
-    c, e = m.det_monomial()
-    carried = m.shifted(k)
-    assert carried.det_monomial() == LaurentMatrix(carried.rows()).det_monomial()
-    assert carried.det_monomial() == (c, e + size * k)
+    twisted = LaurentMatrix([[e.shift(k) for e in row] for row in m.rows()])
+    assert h0_count(m, k) == h0_count(twisted) == section_count(SplittingType(d + k for d in degrees))
     # whether the determinant was asked for never shows
-    for asked, fresh in ((m, unasked), (carried, unasked.shifted(k))):
-        assert asked == fresh
-        assert hash(asked) == hash(fresh)
-        assert repr(asked) == repr(fresh)
-        assert pickle.dumps(asked) == pickle.dumps(fresh)
-        assert pickle.loads(pickle.dumps(asked)) == fresh
+    assert m == unasked
+    assert hash(m) == hash(unasked)
+    assert repr(m) == repr(unasked)
+    assert pickle.dumps(m) == pickle.dumps(unasked)
+    assert pickle.loads(pickle.dumps(m)) == unasked
 
 
 def test_non_monomial_determinant_is_never_remembered(expansions, tmp_path, capsys):
