@@ -23,10 +23,11 @@ the leading-coefficient matrix is invertible (the row degrees are then
 the splitting degrees, because the residual factor diag(u^-d_i) * M is
 unimodular over polynomials in 1/u), and ``splitting_via_h0`` recovers
 the degrees from exact global-section counts of twists.  Both start from
-the rows made primitive (int coefficients, gcd 1): a rational row scale
-changes neither the splitting nor any equation's solutions, so their
-elimination kernel works over Z.  The determinant, the reduction and the
-section counts spend from a ``kring.Budget``.
+the rows made primitive (int coefficients, gcd 1), built once per
+matrix: a rational row scale changes neither the splitting nor any
+equation's solutions, so their elimination kernel works over Z.  The
+determinant, the reduction and the section counts spend from a
+``kring.Budget``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
-from .kring import Budget, product_work
+from .kring import MUL_BITS, Budget, product_work
 from .report import REFUTED, VERIFIED, Report, Step
 
 
@@ -60,11 +61,12 @@ class LaurentMatrix(Record):
     """Square matrix of Laurent polynomials; a transition matrix when its
     determinant is a nonzero monomial.
 
-    The only field is the entry grid.  ``_det_monomial`` remembers the
-    determinant monomial once computed; it is not a field, so equality,
-    hashing, ``repr`` and pickling never see it."""
+    The only field is the entry grid.  ``_det_monomial`` and ``_int_rows``
+    remember the determinant monomial and the primitive rows once computed;
+    they are not fields, so equality, hashing, ``repr`` and pickling never
+    see them."""
 
-    __slots__ = ("_entries", "_det_monomial")
+    __slots__ = ("_entries", "_det_monomial", "_int_rows")
 
     def __init__(self, entries) -> None:
         rows = [
@@ -75,6 +77,7 @@ class LaurentMatrix(Record):
             raise ValueError("entries must form a nonempty square grid")
         object.__setattr__(self, "_entries", tuple(rows))
         object.__setattr__(self, "_det_monomial", None)
+        object.__setattr__(self, "_int_rows", None)
 
     def _fields(self) -> tuple:
         return (self._entries,)
@@ -112,7 +115,8 @@ class LaurentMatrix(Record):
         if self._det_monomial is None:
             budget = budget or Budget()
             budget.step = f"the determinant of a rank-{self.size} matrix"
-            d = _det(self.rows(), budget, _pair_work(self._entries))
+            sizes = {id(p): _size(p) for row in self._entries for p in row}
+            d = _det(self.rows(), budget, sizes)
             if not d.is_monomial():  # zero has no terms
                 raise NotATransitionError(
                     f"determinant of {len(d.items())} terms is not a unit monomial; "
@@ -121,6 +125,21 @@ class LaurentMatrix(Record):
             e = d.min_degree
             object.__setattr__(self, "_det_monomial", (d.coefficient(e), e))
         return self._det_monomial
+
+    def _primitive_rows(self, budget: Budget) -> tuple:
+        """The rows made primitive, which both elimination kernels start
+        from; built once per matrix.  Before that each row spends kring's
+        size charge per coefficient at b bits, b those of its largest
+        numerator plus those of its distinct denominators, which bound
+        their lcm."""
+        if self._int_rows is None:
+            for row in self._entries:
+                ratios = [c.as_integer_ratio() for p in row for _, c in p.items()]
+                bits = max((abs(n).bit_length() for n, _ in ratios), default=0)
+                bits += sum(d.bit_length() for d in {d for _, d in ratios})
+                budget.spend(len(ratios) * product_work(bits, bits))
+            object.__setattr__(self, "_int_rows", tuple(map(_primitive, self._entries)))
+        return self._int_rows
 
     def __str__(self):
         return "\n".join(
@@ -139,8 +158,8 @@ class LaurentMatrix(Record):
 
 
 # Largest rank a matrix file may have.  The cofactor determinant costs r!
-# products: on a 2-vCPU machine a benchmark-shaped rank 8 takes about 2.8 s
-# and spends 80-90% of its budget, and a dense constant unimodular rank 9
+# products: on a 2-vCPU machine a benchmark-shaped rank 8 takes up to about
+# 2.5 s and spends up to 83% of its budget, and a dense constant unimodular rank 9
 # takes about 4.2 s; rank 10 costs 10x that.
 MAX_RANK = 8
 
@@ -158,25 +177,41 @@ def matrix_from_text(text: str) -> LaurentMatrix:
 
 
 # Units per term pair a cofactor product multiplies and adds, spent against
-# kring.MAX_WORK: DET_WORK on ints, FRACTION_DET_WORK if an entry has a p/q,
-# plus kring's size charge.  A pair took 0.27 us on ints (rank 8, 15-term
-# entries) and 3.8-9.6 us on the p1-split benchmark's dense p/q matrices,
-# overhead included (2-vCPU machine shared with other load, Python 3.11),
-# so a unit is 0.13-0.38 us.
+# kring.MAX_WORK: DET_WORK for a pair of int terms, FRACTION_DET_WORK for a
+# pair with a p/q.  A pair took 0.27 us on ints (rank 8, 15-term entries)
+# and 3.8-9.6 us on the p1-split benchmark's dense p/q matrices, overhead
+# included (2-vCPU machine shared with other load, Python 3.11), so a unit
+# is 0.13-0.38 us.
 DET_WORK, FRACTION_DET_WORK = 2, 25
 
 
-def _pair_work(entries) -> list:
-    """Units per term pair of a product in the expansion of an n x n minor,
-    by n: its entry has at most b bits and its minor's determinant about
-    (n - 1) b, b the largest numerator or denominator among the entries."""
-    coeffs = [c for row in entries for p in row for _, c in p.items()]
-    bits = max((max(map(abs, c.as_integer_ratio())).bit_length() for c in coeffs), default=0)
-    base = DET_WORK if all(type(c) is int for c in coeffs) else FRACTION_DET_WORK
-    return [base + product_work(bits, (n - 1) * bits) for n in range(len(entries) + 1)]
+def _size(p: LaurentPoly) -> tuple:
+    """(terms, int terms, coefficient bits summed) of p; a p/q counts the
+    bits of p and q."""
+    ints = bits = 0
+    for _, c in p.items():
+        if type(c) is int:
+            ints += 1
+            bits += c.bit_length()
+        else:
+            num, den = c.as_integer_ratio()
+            bits += num.bit_length() + den.bit_length()
+    return len(p.items()), ints, bits
 
 
-def _det(rows, budget: Budget, pair_work: list) -> LaurentPoly:
+def _product_work(a: tuple, b: tuple) -> int:
+    """Units of a product of polynomials of _size a and b: each term pair
+    at its rate, plus x y / MUL_BITS for a pair of x- and y-bit
+    coefficients (kring's size charge less the constant the rates cover),
+    summed over the pairs as (sum of x) (sum of y) / MUL_BITS."""
+    (na, ia, xa), (nb, ib, xb) = a, b
+    return FRACTION_DET_WORK * (na * nb - ia * ib) + DET_WORK * ia * ib + xa * xb // MUL_BITS
+
+
+def _det(rows, budget: Budget, sizes: dict) -> LaurentPoly:
+    """Cofactor expansion along the first row, each product charged before
+    it runs; `sizes` maps the id of each entry to its _size, so only the
+    minors' determinants are measured as they come."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -187,8 +222,9 @@ def _det(rows, budget: Budget, pair_work: list) -> LaurentPoly:
             minor = [
                 [rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
             ]
-            minor_det = _det(minor, budget, pair_work)
-            budget.spend(pair_work[n] * len(rows[0][j].items()) * len(minor_det.items()))
+            minor_det = _det(minor, budget, sizes)
+            budget.spend(_product_work(sizes[id(rows[0][j])],
+                                       sizes.get(id(minor_det)) or _size(minor_det)))
             term = rows[0][j] * minor_det
             total = total + term if sign > 0 else total - term
         sign = -sign
@@ -291,8 +327,8 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
     budget = budget or Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    rows = [_primitive(row) for row in m.rows()]
     budget.step = f"the Birkhoff reduction of a rank-{r} matrix"
+    rows = list(m._primitive_rows(budget))
     degs = [max((e.max_degree for e in row if not e.is_zero()), default=None) for row in rows]
     if None in degs:
         raise AssertionError("zero row in a matrix with nonzero determinant")
@@ -341,8 +377,8 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
     r = m.size
     lo, _ = m._exponent_range()
     bound = max(0, det_exp + k - (r - 1) * lo)
-    rows = [_primitive(row) for row in m.rows()]
     budget.step = f"the section count of a twist of a rank-{r} matrix"
+    rows = m._primitive_rows(budget)
     unknowns = r * (bound + 1)
     budget.spend(r * max(0, bound - lo - k) * unknowns)  # a unit per coefficient read
     equations = []
@@ -354,16 +390,16 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
     return unknowns - _eliminate(equations, unknowns, budget)[0]
 
 
-def splitting_via_h0(m: LaurentMatrix, budget: Budget | None = None) -> SplittingType:
+def splitting_via_h0(m: LaurentMatrix) -> SplittingType:
     """Recover the splitting degrees from section counts of twists.
 
     h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so consecutive
     differences count the a_i above each threshold.  The scan range
     [det_exp - (r-1)*hi, det_exp - (r-1)*lo] provably contains every
     degree.  Independent of birkhoff_split.  The whole scan spends from
-    `budget`, a fresh one by default.
+    one budget.
     """
-    budget = budget or Budget()
+    budget = Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
     lo, hi = m._exponent_range()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from jetk import p1lab
 from jetk.cli import run
 from jetk.exact_arith import LaurentPoly, laurent_from_string
-from jetk.kring import MAX_WORK, Budget
+from jetk.kring import MAX_WORK, MUL_BITS, Budget
 from jetk.p1lab import (
     LaurentMatrix,
     NotATransitionError,
@@ -229,17 +229,21 @@ def test_birkhoff_charges_large_coefficients(monkeypatch):
         assert birkhoff_split(m) == SplittingType((0, 0))
         spent.append(_RecordedBudget.last.spent)
     assert spent[1] > 50 * spent[0]
-    # with 400-digit entries the cofactor determinant, which runs first and
-    # multiplies entries of about 53,000 bits, goes over the budget
-    with pytest.raises(ValueError, match="^the determinant of a rank-2 matrix needs at least"):
-        birkhoff_split(_elementary_product(random.Random(1), 40, 400))
+    # with 400-digit entries (up to 53,000 bits) the determinant, charged by
+    # each coefficient's own size, is admitted, and the reduction is refused
+    m = _elementary_product(random.Random(1), 40, 400)
+    m.det_monomial()
+    assert _RecordedBudget.last.spent < 0.6 * MAX_WORK
+    with pytest.raises(ValueError, match="^the Birkhoff reduction of a rank-2 matrix needs at least"):
+        birkhoff_split(m)
 
 
 def test_cofactor_determinant_spends_a_budget():
     # a rank-8 file of 15-term entries with exponents up to 200 (9 KB as
     # text): its cofactor expansion ran 41 s before it was found not to be a
-    # transition.  Each product is charged DET_WORK per term pair before it
-    # runs, so the expansion stops after at most MAX_WORK / DET_WORK pairs.
+    # transition.  Each product is charged at least DET_WORK per term pair
+    # before it runs, so the expansion stops after at most MAX_WORK / DET_WORK
+    # pairs.
     rng = random.Random(8)
     m = LaurentMatrix([[LaurentPoly({rng.randint(0, 200): rng.randint(1, 9) for _ in range(15)})
                         for _ in range(8)] for _ in range(8)])
@@ -247,17 +251,37 @@ def test_cofactor_determinant_spends_a_budget():
     with pytest.raises(ValueError, match="^the determinant of a rank-8 matrix needs at least"):
         m.det_monomial(log)
     assert sum(log.charges[:-1]) <= MAX_WORK < sum(log.charges)
-    assert all(c % p1lab.DET_WORK == 0 for c in log.charges)
     # far fewer products than the 69,280 of the whole expansion
-    assert len(log.charges) < 10_000
-    # the same shape with a p/q entry is charged FRACTION_DET_WORK a pair
+    int_products = len(log.charges)
+    assert int_products < 10_000
+    # the same shape with a p/q entry: the products whose minors hold it are
+    # charged FRACTION_DET_WORK a pair, so fewer run
     rows = m.rows()
     rows[7][7] = rows[7][7] * Fraction(1, 2)
     log = _RecordedBudget()
     with pytest.raises(ValueError, match="^the determinant of a rank-8 matrix needs at least"):
         LaurentMatrix(rows).det_monomial(log)
-    assert all(c % p1lab.FRACTION_DET_WORK == 0 for c in log.charges)
-    assert len(log.charges) < 1_000
+    assert sum(log.charges[:-1]) <= MAX_WORK < sum(log.charges)
+    assert len(log.charges) < int_products / 4
+
+
+def test_cofactor_product_work():
+    # each product is charged by its own operands: a rate per term pair, by
+    # whether the pair holds a p/q, and x y / MUL_BITS per pair of x- and
+    # y-bit coefficients, a p/q counting the bits of p and q
+    def work(a, b):
+        return p1lab._product_work(p1lab._size(a), p1lab._size(b))
+
+    a, b = LaurentPoly({0: 3, 1: -5}), LaurentPoly({0: 1, 2: 7, 3: -2})
+    assert work(a, b) == work(b, a) == 6 * p1lab.DET_WORK
+    half = LaurentPoly({0: 1, 2: Fraction(7, 2), 3: -2})
+    assert work(a, half) == 4 * p1lab.DET_WORK + 2 * p1lab.FRACTION_DET_WORK
+    assert work(LaurentPoly({0: Fraction(1, 3)}), half) == 3 * p1lab.FRACTION_DET_WORK
+    big = LaurentPoly({0: 2**5000, 1: -(2**5000)})
+    huge = LaurentPoly({4: 2**20000})
+    assert work(big, huge) == 2 * p1lab.DET_WORK + (2 * 5001) * 20001 // MUL_BITS
+    assert work(LaurentPoly({0: Fraction(1, 2**20000)}), big) == (
+        2 * p1lab.FRACTION_DET_WORK + (1 + 20001) * (2 * 5001) // MUL_BITS)
 
 
 def test_section_count_scan_spends_one_budget(monkeypatch):
@@ -268,14 +292,14 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     assert scan.step == "the section count of a twist of a rank-2 matrix"
     # the scan's counts all spend from it: a count on its own spends less
     assert 0 < h0_count(m, 1) and 0 < _RecordedBudget.last.spent < scan.spent
-    # a count spends a unit per coefficient it reads into its equations (2
-    # rows of 4 exponents of 8 unknowns here), then ELIMINATION_WORK per
-    # entry of each equation the elimination rewrites
+    # with the determinant and the primitive rows remembered from a first
+    # count, a count spends a unit per coefficient it reads into its
+    # equations (2 rows of 4 exponents of 8 unknowns here), then
+    # ELIMINATION_WORK per entry of each equation the elimination rewrites
     rng = random.Random(77)
     conjugate = matmul(random_unimodular(rng, 2, +1), LaurentMatrix.diagonal_powers([2, 0]),
                        random_unimodular(rng, 2, -1))
-    conjugate.det_monomial()
-    assert h0_count(conjugate) == 4
+    assert h0_count(conjugate) == h0_count(conjugate) == 4
     charges = _RecordedBudget.last.charges
     assert charges[0] == 2 * 4 * 8 and set(charges[1:]) == {p1lab.ELIMINATION_WORK * 8}
     # an entry u^-600 widens the scan to 1,202 twists of up to 2,402
@@ -283,6 +307,38 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     wide = LaurentMatrix([[u(0), u(-600)], [LaurentPoly.zero(), u(0)]])
     with pytest.raises(ValueError, match="^the section count of a twist of a rank-2 matrix needs at least"):
         splitting_via_h0(wide)
+
+
+def test_primitive_rows_are_built_once_and_budgeted(monkeypatch):
+    calls = []
+    original = p1lab._primitive
+    monkeypatch.setattr(p1lab, "_primitive", lambda row: calls.append(row) or original(row))
+    # a scan of a rank-3 conjugate with p/q entries scales each row once
+    rng = random.Random(3)
+    m = matmul(random_unimodular(rng, 3, +1), LaurentMatrix.diagonal_powers([1, 0, -1]),
+               random_unimodular(rng, 3, -1))
+    m = LaurentMatrix([[e * Fraction(1, i + 2) for e in row] for i, row in enumerate(m.rows())])
+    assert splitting_via_h0(m) == SplittingType((1, 0, -1))
+    assert len(calls) == 3
+    # and the reduction reuses them: it scales only the rows it makes
+    calls.clear()
+    assert birkhoff_split(m) == SplittingType((1, 0, -1))
+    assert all(type(row) is list for row in calls)
+    # an entry of 300 terms with distinct 100-digit denominators, whose lcm
+    # has about 100,000 bits: clearing it takes about 0.9 s (minutes at 1,000
+    # terms of 300 digits), while the lcm's size charge refuses it at once,
+    # in the step that asked for the rows
+    f = LaurentPoly({i: Fraction(1, rng.randrange(10**99, 10**100)) for i in range(300)})
+    unit = LaurentMatrix([[u(0), f], [LaurentPoly.zero(), u(0)]])
+    for split, step in ((birkhoff_split, "the Birkhoff reduction"),
+                        (splitting_via_h0, "the section count of a twist")):
+        with pytest.raises(ValueError, match=f"^{step} of a rank-2 matrix needs at least"):
+            split(unit)
+    # and a matrix that is no transition never has its rows scaled
+    calls.clear()
+    with pytest.raises(NotATransitionError):
+        birkhoff_split(LaurentMatrix([[f, u(0)], [LaurentPoly.zero(), u(0)]]))
+    assert calls == []
 
 
 def test_determinant_law():
@@ -538,7 +594,7 @@ def test_twisted_section_counts_match_the_twisted_matrix(rng, size, k):
     unasked = LaurentMatrix(m.rows())
     twisted = LaurentMatrix([[e.shift(k) for e in row] for row in m.rows()])
     assert h0_count(m, k) == h0_count(twisted) == section_count(SplittingType(d + k for d in degrees))
-    # whether the determinant was asked for never shows
+    # whether the determinant and the primitive rows were asked for never shows
     assert m == unasked
     assert hash(m) == hash(unasked)
     assert repr(m) == repr(unasked)
