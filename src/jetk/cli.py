@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -109,11 +110,13 @@ def _text(report: Report) -> str:
 
 
 def _check_sizes(args) -> None:
-    """Reject an -N or -k too large to compute with, before any work."""
+    """Reject an -N or -k below 1 or too large to compute with, before any work."""
     for flag, limit in (("N", MAX_N), ("k", sheafdsl.MAX_POWER)):
         value = getattr(args, flag, None)
         if value is not None and value > limit:
             raise ValueError(f"-{flag} {value} exceeds the limit of {limit}")
+        if value is not None and value < 1:
+            raise ValueError(f"-{flag} {value} is below the minimum of 1")
 
 
 def _splitting_step(splitting) -> Step:
@@ -185,7 +188,12 @@ def _cmd_table(args):
         raise ValueError(f"--lmin {args.lmin} exceeds --lmax {args.lmax}")
     span = args.lmax - args.lmin
     if span > MAX_N:
-        raise ValueError(f"--lmax - --lmin = {span} exceeds the limit of {MAX_N}")
+        try:
+            shown = str(span)
+        except ValueError:  # more digits than str() converts: name their count
+            d = math.floor((span.bit_length() - 1) * math.log10(2)) + 1
+            shown = f"a number of {d + (span >= 10**d)} digits"
+        raise ValueError(f"--lmax - --lmin = {shown} exceeds the limit of {MAX_N}")
     steps, budget = [], Budget()  # one for all the rows
     lines = [f"{'l':>4}  {'left':<12}  {'right':<12}  class"]
     for l in range(args.lmin, args.lmax + 1):
@@ -209,12 +217,12 @@ def _int_flag(text: str) -> int:
     """An integer flag: an optional '-' and the ASCII digits 0-9, as an int in
     an expression (argparse's int also takes other digits, '_' and blanks)."""
     digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        if digits.isascii() and digits.isdigit():
-            return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return int(text)
+    except ValueError:  # more digits than int() converts: not echoed
+        raise argparse.ArgumentTypeError(f"a number of {len(digits)} digits is too long") from None
 
 
 @functools.cache  # one parser per process, however often run() is called
@@ -228,13 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kclass", help="evaluate an expression in K(P^N)")
     p.add_argument("-N", type=_int_flag, required=True, help="ambient dimension")
     p.add_argument("expr", help="sheaf expression, e.g. 'Sym2(Omega) * O(5)'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kclass)
 
     p = sub.add_parser("split", help="Birkhoff splitting of a jet bundle on P^1")
     p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("expr", help="jet expression, e.g. 'J1(O(2), right)'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("verify", help="run a verification certificate")
@@ -242,12 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=_int_flag)
     p.add_argument("-k", type=_int_flag)
     p.add_argument("-l", type=_int_flag)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("birkhoff", help="factor a transition matrix from a file")
     p.add_argument("--matrix", required=True, help="path to a ';'-separated matrix")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_birkhoff)
 
     p = sub.add_parser("table", help="tabulate jet splittings and classes")
@@ -255,9 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("--lmin", type=_int_flag, required=True)
     p.add_argument("--lmax", type=_int_flag, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_table)
 
+    for p in sub.choices.values():  # last, so each usage line keeps its order
+        p.add_argument("--json", action="store_true")
     return parser
 
 

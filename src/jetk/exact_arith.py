@@ -21,6 +21,7 @@ a ``Fraction``, e.g. ``3*u^-2 + 1 - 1/2*u^3``.  Whitespace is insignificant.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -76,6 +77,15 @@ def binom(n: int, k: int) -> int:
     return (-1) ** k * math.comb(k - n - 1, k)
 
 
+def _coerced(op):
+    """op with its right operand made a polynomial by the class's _coerce."""
+    @functools.wraps(op)
+    def coerced(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return coerced
+
+
 class TruncPoly(Record):
     """Element of Z[t]/t^modulus_exponent with dense integer coefficients."""
 
@@ -113,10 +123,8 @@ class TruncPoly(Record):
             return TruncPoly(self.modulus_exponent, (other,))
         return NotImplemented
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return TruncPoly(
             self.modulus_exponent,
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
@@ -127,16 +135,12 @@ class TruncPoly(Record):
     def __neg__(self):
         return TruncPoly(self.modulus_exponent, tuple(-a for a in self.coeffs))
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         m = self.modulus_exponent
         out = [0] * m
         for i, a in enumerate(self.coeffs):
@@ -235,10 +239,8 @@ class LaurentPoly(Record):
             return LaurentPoly({0: other})
         return NotImplemented
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -249,16 +251,12 @@ class LaurentPoly(Record):
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         out = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 
 from .exact_arith import LaurentPoly, TruncPoly, binom
 
@@ -96,8 +95,9 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
     m O(d) adds c_i = m * binom(d+i-1, i) to the coefficient of t^i, by the
     ratio c_i = c_{i-1} * (d+i-1) / i, which reaches 0 and stays there
     exactly when d <= 0: N steps, or 1 - d if fewer, by factors up to
-    |d| + N on multiples of binom(|d| + N, N).  They are charged to
-    `budget`, a fresh one by default, before the first runs."""
+    |d| + N on multiples of binom(|d| + N, N).  They, or the N + 1
+    coefficients when those are more, are charged to `budget`, a fresh one
+    by default, before the first runs, so no N is too large to be refused."""
     if N < 1:
         raise ValueError("N must be positive")
     n, big, lo, hi = extent(s)
@@ -105,6 +105,7 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
     bits = big.bit_length() + binom_bits(top, N)
     steps = n * (N if hi > 0 else min(N, 1 - lo))
     work = 2 * n + steps * (1 + (bits + 100) * ((top + N).bit_length() + 100) / MUL_BITS)
+    work = max(work, 2 * n + N + 1)  # a step fills one coefficient; all N + 1 are built
     (budget or Budget()).spend(int(work), f"the class on P^{N} of a twist sum of length {n}")
     coeffs = [0] * (N + 1)
     for d, c in s.items():
@@ -129,7 +130,7 @@ def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> La
     computed, and a twist's new terms once its levels are built."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    series, below, held = [{0: 1}], [0, 1], 0  # below[t]: terms in the levels below t
+    series, held = [{0: 1}], 0
     for d, m in s.items():
         rmax = min(abs(m), k) if sign * m > 0 else k
         bits = binom_bits(abs(m) - 1, k)  # a factor coefficient is at most binom(|m|+k-1, k)
@@ -143,14 +144,15 @@ def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> La
         product = []
         for j in range(min(top + rmax, k) + 1):
             lo, hi = max(0, j - top), min(j, rmax)
-            budget.spend(hi - lo + 1 + (below[j - lo + 1] - below[j - hi]) * weight // MUL_BITS)
+            read = sum(map(len, series[j - hi:j - lo + 1]))  # the levels the pairs read
+            budget.spend(hi - lo + 1 + read * weight // MUL_BITS)
             out = {}
             for r in range(lo, hi + 1):
                 for e, n in series[j - r].items():
                     out[e + r * d] = out.get(e + r * d, 0) + factor[r] * n
             product.append(out)
-        series, below = product, [0, *accumulate(map(len, product))]
-        budget.spend(below[-1])
+        budget.spend(sum(map(len, product)))
+        series = product
     return LaurentPoly(series[k] if k < len(series) else None)
 
 

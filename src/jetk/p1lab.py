@@ -149,12 +149,9 @@ class LaurentMatrix(Record):
     def __repr__(self):
         return f"LaurentMatrix({self.rows()!r})"
 
-    def _exponent_range(self) -> tuple:
-        """(min, max) exponent over all nonzero entries."""
-        nonzero = [e for row in self._entries for e in row if not e.is_zero()]
-        if not nonzero:
-            raise NotATransitionError("zero matrix is not a transition")
-        return (min(e.min_degree for e in nonzero), max(e.max_degree for e in nonzero))
+    def _min_exponent(self) -> int:
+        """The lowest exponent over all nonzero entries."""
+        return min(e.min_degree for row in self._entries for e in row if not e.is_zero())
 
 
 # Largest rank a matrix file may have.  The cofactor determinant costs r!
@@ -375,7 +372,7 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
     budget = budget or Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    lo, _ = m._exponent_range()
+    lo = m._min_exponent()
     bound = max(0, det_exp + k - (r - 1) * lo)
     budget.step = f"the section count of a twist of a rank-{r} matrix"
     rows = m._primitive_rows(budget)
@@ -394,16 +391,15 @@ def splitting_via_h0(m: LaurentMatrix) -> SplittingType:
     """Recover the splitting degrees from section counts of twists.
 
     h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so consecutive
-    differences count the a_i above each threshold.  The scan range
-    [det_exp - (r-1)*hi, det_exp - (r-1)*lo] provably contains every
-    degree.  Independent of birkhoff_split.  The whole scan spends from
-    one budget.
+    differences count the a_i above each threshold.  Every degree is at
+    least lo, the least entry exponent, so at most amax = det_exp - (r-1)*lo,
+    and so at least amin = det_exp - (r-1)*amax: the scan covers [amin, amax].
+    Independent of birkhoff_split.  The whole scan spends from one budget.
     """
     budget = Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    lo, hi = m._exponent_range()
-    amax = det_exp - (r - 1) * lo
+    amax = det_exp - (r - 1) * m._min_exponent()
     amin = det_exp - (r - 1) * amax
     counts = {
         k: h0_count(m, k, budget) for k in range(-amax - 1, -amin + 1)

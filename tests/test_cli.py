@@ -147,16 +147,27 @@ def test_only_ascii_digits_are_numbers(capsys, tmp_path):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+        # a flag too long for int() is named by its length, not echoed
+        for argv, flag in ((["kclass", "-N", "1" * 4400, "O"], "-N"),
+                           (["table", "jets", "-N", "1", "--lmin", "-" + "1" * 4400,
+                             "--lmax", "1"], "--lmin")):
+            assert run([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(
+                f"error: argument {flag}: a number of 4400 digits is too long\n")
+            assert len(captured.err) < 300
 
 
 def test_size_flags_are_bounded(capsys):
-    def rejected(argv, flag, value):
+    def rejected(argv, flag, value, bound=None):
+        limit = sheafdsl.MAX_POWER if flag == "-k" else cli.MAX_N
+        bound = bound or f"exceeds the limit of {limit}"
         for mode in ([], ["--json"]):
             assert run([*argv, *mode]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            limit = sheafdsl.MAX_POWER if flag == "-k" else cli.MAX_N
-            assert captured.err == f"error: {flag} {value} exceeds the limit of {limit}\n"
+            assert captured.err == f"error: {flag} {value} {bound}\n"
 
     huge = "100000000000"
     rejected(["kclass", "-N", huge, "O(5)"], "-N", huge)
@@ -169,6 +180,15 @@ def test_size_flags_are_bounded(capsys):
     for lmin, lmax in ((-100000, 100000), (0, cli.MAX_N + 1)):
         argv = ["table", "jets", "-N", "1", "--lmin", str(lmin), "--lmax", str(lmax)]
         rejected(argv, "--lmax - --lmin =", str(lmax - lmin))
+    # a span too long for str() is named by its digit count
+    nines = "9" * 4300
+    argv = ["table", "jets", "-N", "1", "--lmin", f"-{nines}", "--lmax", nines]
+    rejected(argv, "--lmax - --lmin =", "a number of 4301 digits")
+    # an -N or -k below 1, which no subcommand computes with, is named too
+    for value in ("0", "-1"):
+        rejected(["kclass", "-N", value, "O"], "-N", value, "is below the minimum of 1")
+        argv = ["verify", "ktheory", "-N", "3", "-k", value, "-l", "0"]
+        rejected(argv, "-k", value, "is below the minimum of 1")
     # the limits themselves are admitted; every N that README, tests and
     # perfbench use (at most 300) lies below them
     assert cli.MAX_N >= 300

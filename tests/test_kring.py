@@ -87,6 +87,25 @@ def test_sum_to_class_charges_its_budget():
     budget.spent = MAX_WORK
     with pytest.raises(ValueError, match=r"^the class on P\^4 of a twist sum of length 2 "):
         sum_to_class(LaurentPoly({1: 2, -3: 1}), 4, budget)
+    # its N + 1 coefficients are charged too, whatever its twists; this
+    # budget records the named charge and stops there, before any list is built
+    class Charged(Exception):
+        pass
+
+    class Recording(Budget):
+        def spend(self, units, step=None):
+            self.spent += units
+            raise Charged(step)
+
+    for N in (10**6, 10**9):
+        budget = Recording()
+        with pytest.raises(Charged, match=rf"^the class on P\^{N} of a twist sum of length 1$"):
+            sum_to_class(LaurentPoly.monomial(0), N, budget)
+        assert budget.spent > N
+    # so a direct call with a huge N is refused before it allocates
+    with pytest.raises(ValueError, match=r"^the class on P\^1000000000 of a twist sum of length 1 "
+                                         r"needs about \d+ coefficient operations"):
+        class_of_twist(10**9, 0)
 
 
 def test_sum_to_class_additive_and_multiplicative():
