@@ -10,10 +10,10 @@ Subcommands:
     birkhoff --matrix <path>            factor an ingested transition matrix
     table    jets -N 1 --lmin <a> --lmax <b>
 
--N and the table's --lmax - --lmin are at most MAX_N, and -k at most
-sheafdsl.MAX_POWER; a larger one is an input error.
-
-Integer flags take an optional '-' and the ASCII digits 0-9 only.
+Each verify claim takes the flags shown and no others.  -N and the table's
+--lmax - --lmin are at most MAX_N, and -k at most sheafdsl.MAX_POWER; a
+larger one is an input error.  Integer flags take an optional '-' and the
+ASCII digits 0-9 only.
 
 Each subcommand's handler returns one Report and prints nothing; ``run``
 alone turns it into output.  Text mode prints the last step's ``rendered``
@@ -21,11 +21,11 @@ value when it has one (a class, a splitting, the jet table) and the whole
 report otherwise.  With ``--json`` it emits the report object {claim,
 params, verdict, steps}; all numbers are serialized as decimal strings so
 arbitrary precision survives any consumer.  ``_encode`` turns values into
-text for both modes.
+text for both modes; a number too long for str() is an input error.
 
 Exit codes: 0 verified/success, 1 refuted claim, 2 usage or input error
-(an inapplicable verdict maps to 2 as an out-of-range query), 3 internal
-fault: any other exception, reported on stderr as
+(an out-of-range query's inapplicable verdict, or a stdout closed by its
+reader), 3 internal fault: any other exception, reported on stderr as
 ``error: internal fault: <Type>: <message>`` without a traceback.
 """
 
@@ -34,12 +34,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import jetcalc, p1lab, sheafdsl
-from .exact_arith import TruncPoly
+from .exact_arith import LaurentPoly, TruncPoly
 from .kring import Budget, product_work
 from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 
@@ -53,16 +54,18 @@ MAX_N = 1000
 
 
 def _encode(value):
-    """A report value as JSON: numbers, classes and splittings become decimal
-    text.  Both output modes turn values into text here and nowhere else."""
+    """A report value as JSON: numbers, polynomials, splittings and matrices
+    (a line per row) become text.  Both output modes encode here and only here."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction, TruncPoly, p1lab.SplittingType)):
+    matrix = isinstance(value, p1lab.LaurentMatrix)
+    if matrix or isinstance(value, (int, Fraction, TruncPoly, LaurentPoly, p1lab.SplittingType)):
         try:
-            return str(value)
+            text = str(value)
         except ValueError:  # only int -> str conversion can fail here
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"a number in the result has more than {limit} digits") from None
+        return text.splitlines() if matrix else text
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -73,15 +76,9 @@ def _encode(value):
 def emit_json(report: Report) -> str:
     """Serialize a report; numbers become decimal strings."""
     import json  # here, not at the top: most CLI processes never touch JSON
-    payload = {
-        "claim": report.claim,
-        "params": _encode(report.params),
-        "verdict": report.verdict,
-        "steps": [
-            {"description": s.description, "values": _encode(s.values)}
-            for s in report.steps
-        ],
-    }
+    steps = [{"description": s.description, "values": _encode(s.values)} for s in report.steps]
+    payload = {"claim": report.claim, "params": _encode(report.params),
+               "verdict": report.verdict, "steps": steps}
     return json.dumps(payload, indent=2)
 
 
@@ -144,28 +141,11 @@ def _cmd_split(args):
     matrix = p1lab.jet_transition(expr.arg.d, expr.side)
     steps = [
         Step("first-order jet transition matrix",
-             {"matrix": [str(e) for row in matrix.rows() for e in row]}),
+             {"matrix": [e for row in matrix.rows() for e in row]}),
         _splitting_step(p1lab.birkhoff_split(matrix)),
     ]
     params = {"N": 1, "expr": args.expr, "l": expr.arg.d, "side": expr.side}
     return Report("birkhoff-splitting", params, VERIFIED, steps)
-
-
-# Each verify claim's certificate, by module and name so that the one called
-# is whatever the module holds at call time, and the flags it takes, in order.
-_CERTIFICATES = {
-    "mainsplit": (jetcalc, "prove_non_isomorphic", ("N", "l")),
-    "ktheory": (jetcalc, "verify_ktheory_equality", ("N", "k", "l")),
-    "atiyah": (p1lab, "verify_corr_p1", ("l",)),
-}
-
-
-def _cmd_verify(args):
-    module, name, flags = _CERTIFICATES[args.claim]
-    missing = " ".join(f"-{f}" for f in flags if getattr(args, f) is None)
-    if missing:
-        raise ValueError(f"verify {args.claim} requires {missing}")
-    return getattr(module, name)(*(getattr(args, f) for f in flags))
 
 
 def _cmd_birkhoff(args):
@@ -173,11 +153,11 @@ def _cmd_birkhoff(args):
     budget = Budget()
     coeff, exponent = matrix.det_monomial(budget)
     steps = [
-        Step("ingested matrix", {"rows": str(matrix).splitlines()}),
+        Step("ingested matrix", {"rows": matrix}),
         Step("determinant monomial", {"coefficient": coeff, "exponent": exponent}),
         _splitting_step(p1lab.birkhoff_split(matrix, budget)),
     ]
-    params = {"matrix": str(args.matrix), "size": matrix.size}
+    params = {"matrix": args.matrix, "size": matrix.size}
     return Report("birkhoff-splitting", params, VERIFIED, steps)
 
 
@@ -244,11 +224,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("verify", help="run a verification certificate")
-    p.add_argument("claim", choices=list(_CERTIFICATES))
-    p.add_argument("-N", type=_int_flag)
-    p.add_argument("-k", type=_int_flag)
-    p.add_argument("-l", type=_int_flag)
-    p.set_defaults(handler=_cmd_verify)
+    claims = p.add_subparsers(dest="claim", required=True)
+    # one parser per claim; each handler looks its certificate up when it runs
+    for claim, flags, text, handler in (
+        ("mainsplit", "Nl", "the left and right structures of J^1(O(l)) on P^N differ",
+         lambda a: jetcalc.prove_non_isomorphic(a.N, a.l)),
+        ("ktheory", "Nkl", "both structures of J^k(O(l)) have one class in K(P^N)",
+         lambda a: jetcalc.verify_ktheory_equality(a.N, a.k, a.l)),
+        ("atiyah", "l", "on P^1 the Atiyah class of O(l) detects the difference",
+         lambda a: p1lab.verify_corr_p1(a.l)),
+    ):
+        p = claims.add_parser(claim, help=text)
+        for flag in flags:
+            p.add_argument(f"-{flag}", type=_int_flag, required=True)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("birkhoff", help="factor a transition matrix from a file")
     p.add_argument("--matrix", required=True, help="path to a ';'-separated matrix")
@@ -261,8 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=_int_flag, required=True)
     p.set_defaults(handler=_cmd_table)
 
-    for p in sub.choices.values():  # last, so each usage line keeps its order
-        p.add_argument("--json", action="store_true")
+    # last, so each usage line keeps its order; unset unless given, so a
+    # --json before a verify claim stands
+    parser.set_defaults(json=False)
+    for p in (*sub.choices.values(), *claims.choices.values()):
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     return parser
 
 
@@ -275,19 +267,24 @@ def run(argv) -> int:
     try:
         _check_sizes(args)
         report = args.handler(args)
-        output = emit_json(report) if args.json else _text(report)
+        # flushed here, so a stdout closed by its reader is an input error
+        print(emit_json(report) if args.json else _text(report), flush=True)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug in jetk, never a verdict on the input
         print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(output)
     return _EXIT_BY_VERDICT[report.verdict]
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # a closed stdout, which run reported: drop what it holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

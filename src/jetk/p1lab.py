@@ -486,7 +486,7 @@ def verify_corr_p1(l: int) -> Report:
             "left jet transition in (value, derivative) coordinates "
             "and its Birkhoff splitting",
             {
-                "matrix": [str(e) for row in left_matrix.rows() for e in row],
+                "matrix": [e for row in left_matrix.rows() for e in row],
                 "splitting": list(left_split.degrees),
             },
         ),
@@ -495,7 +495,7 @@ def verify_corr_p1(l: int) -> Report:
             "the right splitting (the naive jet frame differs by a "
             "unimodular change, invisible to the splitting)",
             {
-                "matrix": [str(e) for row in right_matrix.rows() for e in row],
+                "matrix": [e for row in right_matrix.rows() for e in row],
                 "splitting": list(right_split.degrees),
             },
         ),

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -193,8 +194,7 @@ def test_size_flags_are_bounded(capsys):
     # perfbench use (at most 300) lies below them
     assert cli.MAX_N >= 300
     assert run(["kclass", "-N", str(cli.MAX_N), "O(1)"]) == 0
-    argv = ["verify", "mainsplit", "-N", str(cli.MAX_N), "-k", str(sheafdsl.MAX_POWER), "-l", "1"]
-    assert run(argv) == 0
+    assert run(["verify", "mainsplit", "-N", str(cli.MAX_N), "-l", "1"]) == 0
     assert run(["table", "jets", "-N", "1", "--lmin", "-500", "--lmax", str(cli.MAX_N - 500)]) == 0
     capsys.readouterr()
     # verify ktheory charges its Euler recursion against sheafdsl.MAX_WORK
@@ -341,6 +341,71 @@ def test_verify_requires_parameters(capsys):
     assert "-k" in capsys.readouterr().err
 
 
+def test_verify_claims_take_only_their_flags(capsys):
+    # mainsplit takes -N -l, ktheory -N -k -l and atiyah -l; any other flag
+    # is a usage error that names it, never silently dropped
+    for argv, flag in ((["verify", "mainsplit", "-N", "2", "-k", "5", "-l", "1"], "-k 5"),
+                       (["verify", "atiyah", "-N", "7", "-l", "1"], "-N 7"),
+                       (["verify", "atiyah", "-k", "5", "-l", "1"], "-k 5"),
+                       (["verify", "atiyah"], "required: -l"),
+                       (["verify", "ktheory", "-N", "2", "-k", "2"], "required: -l")):
+        for args in (argv, [*argv, "--json"], [*argv[:1], "--json", *argv[1:]]):
+            assert run(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"{flag}\n"), (args, captured.err)
+    # --json before or after the claim
+    for argv in (["verify", "--json", "atiyah", "-l", "1"], ["verify", "atiyah", "-l", "1", "--json"]):
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {"l": "1"}
+    assert run(["verify", "atiyah", "-l", "1"]) == 0
+    assert capsys.readouterr().out.startswith("claim: atiyah-class-detects-structures\n")
+
+
+def _closed_stdout_run(argv):
+    """jetk in a fresh process whose stdout is a pipe with its read end
+    closed, block-buffered as a shell pipe is: (exit code, stderr)."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(jetk.__file__).resolve().parent.parent)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jetk.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_is_an_input_error():
+    # a whole report, the 1,001-row table and a --json report
+    for argv in (["verify", "mainsplit", "-N", "2", "-l", "1"],
+                 ["table", "jets", "-N", "1", "--lmin", "-500", "--lmax", "500"],
+                 ["verify", "ktheory", "-N", "3", "-k", "2", "-l", "1", "--json"]):
+        code, err = _closed_stdout_run(argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Broken pipe" in err
+
+
+def test_closed_stdout_in_process(capsys):
+    # run reports the closed stdout and leaves every file descriptor as it was
+    read, write = os.pipe()
+    os.close(read)
+    stdout, before = os.fdopen(write, "w"), os.fstat(1)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert run(["verify", "mainsplit", "-N", "2", "-l", "1"]) == 2
+        assert stat.S_ISFIFO(os.fstat(write).st_mode)
+        assert (os.fstat(1).st_dev, os.fstat(1).st_ino) == (before.st_dev, before.st_ino)
+    finally:
+        with contextlib.suppress(BrokenPipeError):  # the output it still holds
+            stdout.close()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Broken pipe" in captured.err and captured.err.count("\n") == 1
+
+
 def test_verify_ktheory(capsys):
     assert run(["verify", "ktheory", "-N", "4", "-k", "3", "-l", "7"]) == 0
     assert "verified" in capsys.readouterr().out
@@ -421,6 +486,7 @@ def test_birkhoff_reduction_is_budgeted(tmp_path, capsys):
 
 
 def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
+    too_long = f"error: a number in the result has more than {sys.get_int_max_str_digits()} digits\n"
     # the determinant coefficient c^2 has 5999 digits; text mode never prints it
     c = "7" * 3000
     path = tmp_path / "matrix.txt"
@@ -430,10 +496,24 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
     assert run(["birkhoff", "--matrix", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: a number in the result has more than "
-        f"{sys.get_int_max_str_digits()} digits\n"
-    )
+    assert captured.err == too_long
+    # an entry of a matrix too long to print is named in the same words
+    nines = "9" * sys.get_int_max_str_digits()
+    for argv in (["verify", "atiyah", "-l", f"-{nines}"],
+                 ["split", "-N", "1", f"J1(O(-{nines}), left)"]):
+        for mode in ([], ["--json"]):
+            assert run([*argv, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == too_long
+    # text mode prints the splitting, never the ingested matrix
+    path.write_text(f"{nines}*u + {nines}*u\n", encoding="utf-8")
+    assert run(["birkhoff", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == "{1}\n"
+    assert run(["birkhoff", "--matrix", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == too_long
     # a determinant that is not a monomial is named by its term count, not
     # printed: c^2 u^2 + 3c u + 1 has a 6000-digit coefficient
     c = "9" * 3000
@@ -452,10 +532,7 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
     assert run(["birkhoff", "--matrix", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: a number in the result has more than "
-        f"{sys.get_int_max_str_digits()} digits\n"
-    )
+    assert captured.err == too_long
 
 
 def test_one_budget_per_invocation(monkeypatch, tmp_path, capsys):
