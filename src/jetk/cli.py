@@ -10,10 +10,11 @@ Subcommands:
     birkhoff --matrix <path>            factor an ingested transition matrix
     table    jets -N 1 --lmin <a> --lmax <b>
 
-Each verify claim takes the flags shown and no others.  -N and the table's
---lmax - --lmin are at most MAX_N, and -k at most sheafdsl.MAX_POWER; a
-larger one is an input error.  Integer flags take an optional '-' and the
-ASCII digits 0-9 only.
+Each verify claim takes the flags shown and no others; an unknown flag is a
+usage error under the usage line of the subcommand or claim it follows.  -N
+and the table's --lmax - --lmin are at most MAX_N, and -k at most
+sheafdsl.MAX_POWER; a larger one is an input error.  Integer flags take an
+optional '-' and the ASCII digits 0-9 only.
 
 Each subcommand's handler returns one Report and prints nothing; ``run``
 alone turns it into output.  Text mode prints the last step's ``rendered``
@@ -216,12 +217,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kclass", help="evaluate an expression in K(P^N)")
     p.add_argument("-N", type=_int_flag, required=True, help="ambient dimension")
     p.add_argument("expr", help="sheaf expression, e.g. 'Sym2(Omega) * O(5)'")
-    p.set_defaults(handler=_cmd_kclass)
+    p.set_defaults(handler=_cmd_kclass, parser=p)
 
     p = sub.add_parser("split", help="Birkhoff splitting of a jet bundle on P^1")
     p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("expr", help="jet expression, e.g. 'J1(O(2), right)'")
-    p.set_defaults(handler=_cmd_split)
+    p.set_defaults(handler=_cmd_split, parser=p)
 
     p = sub.add_parser("verify", help="run a verification certificate")
     claims = p.add_subparsers(dest="claim", required=True)
@@ -237,18 +238,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = claims.add_parser(claim, help=text)
         for flag in flags:
             p.add_argument(f"-{flag}", type=_int_flag, required=True)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
 
     p = sub.add_parser("birkhoff", help="factor a transition matrix from a file")
     p.add_argument("--matrix", required=True, help="path to a ';'-separated matrix")
-    p.set_defaults(handler=_cmd_birkhoff)
+    p.set_defaults(handler=_cmd_birkhoff, parser=p)
 
     p = sub.add_parser("table", help="tabulate jet splittings and classes")
     p.add_argument("what", choices=["jets"])
     p.add_argument("-N", type=_int_flag, required=True)
     p.add_argument("--lmin", type=_int_flag, required=True)
     p.add_argument("--lmax", type=_int_flag, required=True)
-    p.set_defaults(handler=_cmd_table)
+    p.set_defaults(handler=_cmd_table, parser=p)
 
     # last, so each usage line keeps its order; unset unless given, so a
     # --json before a verify claim stands
@@ -261,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Execute one CLI invocation; prints the report, returns the exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # named by the subcommand or claim they follow, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -45,9 +45,11 @@ MAX_WORK = 10**7
 MUL_BITS, PRODUCT_WORK, PAIR_WORK = 10**5, 2, 1.5
 
 
-def product_work(a_bits: int, b_bits: int) -> int:
-    """The units a product of an a-bit and a b-bit int adds to its loop step."""
-    return (a_bits + 100) * (b_bits + 100) // MUL_BITS
+def product_work(a_bits: int, b_bits: int, times: int = 1) -> int:
+    """The units a product of an a-bit and a b-bit int adds to its loop step,
+    for `times` such products: their total is floored once, so many small
+    products charge their sum rather than 0 each."""
+    return (a_bits + 100) * (b_bits + 100) * times // MUL_BITS
 
 
 class Budget:
@@ -104,9 +106,9 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
     top = max(-lo, hi)
     bits = big.bit_length() + binom_bits(top, N)
     steps = n * (N if hi > 0 else min(N, 1 - lo))
-    work = 2 * n + steps * (1 + (bits + 100) * ((top + N).bit_length() + 100) / MUL_BITS)
+    work = 2 * n + steps + product_work(bits, (top + N).bit_length(), steps)
     work = max(work, 2 * n + N + 1)  # a step fills one coefficient; all N + 1 are built
-    (budget or Budget()).spend(int(work), f"the class on P^{N} of a twist sum of length {n}")
+    (budget or Budget()).spend(work, f"the class on P^{N} of a twist sum of length {n}")
     coeffs = [0] * (N + 1)
     for d, c in s.items():
         coeffs[0] += c
@@ -139,13 +141,12 @@ def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> La
         for r in range(1, rmax + 1):
             factor.append(factor[-1] * (m - sign * (r - 1)) // r)
         # a held coefficient is at most binom(R+k, k), R the |multiplicity| so far
-        weight = PRODUCT_WORK * MUL_BITS + (bits + 100) * (binom_bits(held, k) + 100)
-        top, held = len(series) - 1, held + abs(m)
+        held_bits, top, held = binom_bits(held, k), len(series) - 1, held + abs(m)
         product = []
         for j in range(min(top + rmax, k) + 1):
             lo, hi = max(0, j - top), min(j, rmax)
             read = sum(map(len, series[j - hi:j - lo + 1]))  # the levels the pairs read
-            budget.spend(hi - lo + 1 + read * weight // MUL_BITS)
+            budget.spend(hi - lo + 1 + read * PRODUCT_WORK + product_work(bits, held_bits, read))
             out = {}
             for r in range(lo, hi + 1):
                 for e, n in series[j - r].items():

@@ -82,26 +82,9 @@ class LaurentMatrix(Record):
     def _fields(self) -> tuple:
         return (self._entries,)
 
-    @classmethod
-    def diagonal_powers(cls, exponents) -> "LaurentMatrix":
-        exponents = list(exponents)
-        size = len(exponents)
-        return cls(
-            [
-                [
-                    LaurentPoly.monomial(exponents[i]) if i == j else 0
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-        )
-
     @property
     def size(self) -> int:
         return len(self._entries)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self._entries[i][j]
 
     def rows(self):
         return [list(row) for row in self._entries]
@@ -431,15 +414,11 @@ def jet_transition(l: int, side: str) -> LaurentMatrix:
     jet frame differs from this one by a unimodular change of frame,
     which leaves the splitting type unchanged.
     """
+    u = LaurentPoly.monomial
     if side == "left":
-        return LaurentMatrix(
-            [
-                [LaurentPoly.monomial(l), LaurentPoly.zero()],
-                [LaurentPoly.monomial(l - 1, l), LaurentPoly.monomial(l - 2, -1)],
-            ]
-        )
+        return LaurentMatrix([[u(l), 0], [u(l - 1, l), u(l - 2, -1)]])
     if side == "right":
-        return LaurentMatrix.diagonal_powers([l - 2, l])
+        return LaurentMatrix([[u(l - 2), 0], [0, u(l)]])
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

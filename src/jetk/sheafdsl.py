@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from . import kring
 from .exact_arith import LaurentPoly, Record, TruncPoly
-from .kring import MAX_WORK, MUL_BITS, PAIR_WORK, Budget, extent
+from .kring import MAX_WORK, PAIR_WORK, Budget, extent
 
 SIDES = ("left", "right")  # the two module structures of a jet bundle
 
@@ -36,7 +36,6 @@ class ParseError(ValueError):
     def __init__(self, position: int, expected, found: str):
         self.position = position
         self.expected = frozenset(expected)
-        self.found = found
         wanted = ", ".join(sorted(self.expected))
         super().__init__(f"at position {position}: "
                          + (f"expected {wanted}, found {found}" if wanted else found))
@@ -310,10 +309,9 @@ def evaluate(e, N: int, budget: Budget | None = None) -> TruncPoly:
             a = value(e.factors[0])
             for b in map(value, e.factors[1:]):  # charged and multiplied left to right
                 (n1, big1, lo1, hi1), (n2, big2, lo2, hi2) = extent(a), extent(b)
-                bits = (big1.bit_length() + 100) * (big2.bit_length() + 100)
-                work = n1 * n2 * (PAIR_WORK + bits / MUL_BITS)
-                work += min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)  # a term per degree
-                budget.spend(int(work), f"a product of twist sums of lengths {n1} and {n2}")
+                work = int(n1 * n2 * PAIR_WORK) + min(n1 * n2, hi1 - lo1 + hi2 - lo2 + 1)
+                work += kring.product_work(big1.bit_length(), big2.bit_length(), n1 * n2)
+                budget.spend(work, f"a product of twist sums of lengths {n1} and {n2}")
                 a = a * b
             return a
         if isinstance(e, Dual):

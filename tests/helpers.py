@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from jetk.exact_arith import TruncPoly
+from jetk.exact_arith import LaurentPoly, TruncPoly
+from jetk.p1lab import LaurentMatrix
 
 
 class NotInvertibleError(ArithmeticError):
@@ -42,6 +43,13 @@ def degree(s) -> int:
 def section_count(splitting) -> int:
     """h^0 of the split bundle with these degrees: sum of max(0, d+1)."""
     return sum(max(0, d + 1) for d in splitting.degrees)
+
+
+def diagonal(exponents) -> LaurentMatrix:
+    """The diagonal matrix diag(u^e) of these exponents."""
+    exponents = list(exponents)
+    return LaurentMatrix([[LaurentPoly.monomial(e) if i == j else 0 for j in range(len(exponents))]
+                          for i, e in enumerate(exponents)])
 
 
 def step_values(report, fragment: str) -> dict:

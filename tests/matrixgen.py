@@ -6,6 +6,8 @@ from fractions import Fraction
 from jetk.exact_arith import LaurentPoly
 from jetk.p1lab import LaurentMatrix
 
+from helpers import diagonal
+
 
 def random_poly(rng, var_sign, max_deg=3):
     """Random polynomial in u (var_sign=+1) or in 1/u (var_sign=-1)."""
@@ -18,7 +20,7 @@ def random_poly(rng, var_sign, max_deg=3):
 
 
 def identity(size):
-    return LaurentMatrix.diagonal_powers([0] * size)
+    return diagonal([0] * size)
 
 
 def matmul(*factors):
@@ -28,10 +30,11 @@ def matmul(*factors):
     for f in factors[1:]:
         if f.size != n:
             raise ValueError("size mismatch")
+        a, b = out.rows(), f.rows()
         out = LaurentMatrix(
             [
                 [
-                    sum((out.entry(i, k) * f.entry(k, j) for k in range(n)), LaurentPoly.zero())
+                    sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
                     for j in range(n)
                 ]
                 for i in range(n)

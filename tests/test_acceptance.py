@@ -14,7 +14,6 @@ from jetk.kring import (
     sym_omega,
 )
 from jetk.p1lab import (
-    LaurentMatrix,
     SplittingType,
     atiyah_class_p1,
     birkhoff_split,
@@ -26,7 +25,7 @@ from jetk.p1lab import (
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
 from jetk.sheafdsl import Sum, Tensor, evaluate, parse, print_expr
 
-from helpers import degree as sum_degree, inverse, section_count, step_values
+from helpers import degree as sum_degree, diagonal, inverse, section_count, step_values
 from matrixgen import matmul, random_unimodular
 from test_sheafdsl import _random_expr, _random_split_expr
 
@@ -123,8 +122,8 @@ def test_criterion_8_birkhoff_invariance():
         jet_transition(3, "left"),
         jet_transition(-2, "left"),
         jet_transition(4, "right"),
-        LaurentMatrix.diagonal_powers([2, -1]),
-        LaurentMatrix.diagonal_powers([1, 0, -3]),
+        diagonal([2, -1]),
+        diagonal([1, 0, -3]),
     ]
     cases = 0
     while cases < 20:

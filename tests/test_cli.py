@@ -343,16 +343,20 @@ def test_verify_requires_parameters(capsys):
 
 def test_verify_claims_take_only_their_flags(capsys):
     # mainsplit takes -N -l, ktheory -N -k -l and atiyah -l; any other flag
-    # is a usage error that names it, never silently dropped
+    # is a usage error that names it under the claim's own usage line, never
+    # silently dropped; an unknown flag of another subcommand is named alike
     for argv, flag in ((["verify", "mainsplit", "-N", "2", "-k", "5", "-l", "1"], "-k 5"),
                        (["verify", "atiyah", "-N", "7", "-l", "1"], "-N 7"),
                        (["verify", "atiyah", "-k", "5", "-l", "1"], "-k 5"),
                        (["verify", "atiyah"], "required: -l"),
-                       (["verify", "ktheory", "-N", "2", "-k", "2"], "required: -l")):
+                       (["verify", "ktheory", "-N", "2", "-k", "2"], "required: -l"),
+                       (["kclass", "-N", "2", "O", "--bogus"], "--bogus")):
+        prog = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
         for args in (argv, [*argv, "--json"], [*argv[:1], "--json", *argv[1:]]):
             assert run(args) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
+            assert captured.err.startswith(f"usage: jetk {prog} "), (args, captured.err)
             assert captured.err.endswith(f"{flag}\n"), (args, captured.err)
     # --json before or after the claim
     for argv in (["verify", "--json", "atiyah", "-l", "1"], ["verify", "atiyah", "-l", "1", "--json"]):

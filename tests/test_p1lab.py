@@ -27,7 +27,7 @@ from jetk.p1lab import (
 )
 from jetk.report import VERIFIED
 
-from helpers import degree, rref, section_count, step_values
+from helpers import degree, diagonal, rref, section_count, step_values
 from matrixgen import identity, matmul, random_unimodular
 
 
@@ -37,18 +37,18 @@ def u(e, c=1):
 
 def test_left_transition_frozen_values():
     m = jet_transition(2, "left")
-    assert m.entry(0, 0) == u(2)
-    assert m.entry(0, 1).is_zero()
-    assert m.entry(1, 0) == u(1, 2)
-    assert m.entry(1, 1) == u(0, -1)
+    assert m.rows()[0][0] == u(2)
+    assert m.rows()[0][1].is_zero()
+    assert m.rows()[1][0] == u(1, 2)
+    assert m.rows()[1][1] == u(0, -1)
 
 
 def test_left_transition_no_twist_is_pure_chain_rule():
     m = jet_transition(0, "left")
-    assert m.entry(0, 0) == u(0)
-    assert m.entry(0, 1).is_zero()
-    assert m.entry(1, 0).is_zero()
-    assert m.entry(1, 1) == u(-2, -1)
+    assert m.rows()[0][0] == u(0)
+    assert m.rows()[0][1].is_zero()
+    assert m.rows()[1][0].is_zero()
+    assert m.rows()[1][1] == u(-2, -1)
 
 
 def test_left_transition_differentiation_oracle():
@@ -63,15 +63,15 @@ def test_left_transition_differentiation_oracle():
         f1_u = f1.dual()  # f1(1/u)
         df1_u = df1.dual()
         f0 = u(l) * f1_u
-        assert m.entry(0, 0) * f1_u + m.entry(0, 1) * df1_u == f0
-        assert m.entry(1, 0) * f1_u + m.entry(1, 1) * df1_u == f0.derivative()
+        assert m.rows()[0][0] * f1_u + m.rows()[0][1] * df1_u == f0
+        assert m.rows()[1][0] * f1_u + m.rows()[1][1] * df1_u == f0.derivative()
 
 
 def test_right_transition_is_block_diagonal():
     m = jet_transition(2, "right")
-    assert m == LaurentMatrix.diagonal_powers([0, 2])
+    assert m == diagonal([0, 2])
     m = jet_transition(-1, "right")
-    assert m == LaurentMatrix.diagonal_powers([-3, -1])
+    assert m == diagonal([-3, -1])
 
 
 def test_transition_rejects_unknown_side():
@@ -80,7 +80,7 @@ def test_transition_rejects_unknown_side():
 
 
 def test_birkhoff_of_diagonal():
-    assert birkhoff_split(LaurentMatrix.diagonal_powers([2, -1])) == SplittingType(
+    assert birkhoff_split(diagonal([2, -1])) == SplittingType(
         (2, -1)
     )
 
@@ -112,7 +112,7 @@ def test_birkhoff_recovers_known_factorizations():
         degrees = [rng.randint(-4, 4) for _ in range(size)]
         left = random_unimodular(rng, size, +1)
         right = random_unimodular(rng, size, -1)
-        m = matmul(left, LaurentMatrix.diagonal_powers(degrees), right)
+        m = matmul(left, diagonal(degrees), right)
         assert birkhoff_split(m) == SplittingType(tuple(degrees))
 
 
@@ -121,7 +121,7 @@ def test_birkhoff_recovers_known_factorizations():
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_birkhoff_invariance_under_unimodular_factors(seed, rank):
     rng = random.Random(seed)
-    base = [LaurentMatrix.diagonal_powers([rng.randint(-3, 3) for _ in range(rank)])]
+    base = [diagonal([rng.randint(-3, 3) for _ in range(rank)])]
     if rank == 2:
         base.append(jet_transition(rng.randint(-3, 3), rng.choice(["left", "right"])))
     m = rng.choice(base)
@@ -181,7 +181,7 @@ def test_birkhoff_reduction_spends_a_budget(monkeypatch):
         shift = rng.randint(-1, 1)
         degrees = [rng.randint(0, 1) + shift for _ in range(6)]
         m = matmul(_unitriangular(rng, 6, True), _unitriangular(rng, 6, False),
-                   LaurentMatrix.diagonal_powers(degrees),
+                   diagonal(degrees),
                    _unitriangular(rng, 6, True), _unitriangular(rng, 6, False))
         m.det_monomial()
         assert _RecordedBudget.last.spent < MAX_WORK / 100
@@ -297,7 +297,7 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     # equations (2 rows of 4 exponents of 8 unknowns here), then
     # ELIMINATION_WORK per entry of each equation the elimination rewrites
     rng = random.Random(77)
-    conjugate = matmul(random_unimodular(rng, 2, +1), LaurentMatrix.diagonal_powers([2, 0]),
+    conjugate = matmul(random_unimodular(rng, 2, +1), diagonal([2, 0]),
                        random_unimodular(rng, 2, -1))
     assert h0_count(conjugate) == h0_count(conjugate) == 4
     charges = _RecordedBudget.last.charges
@@ -315,7 +315,7 @@ def test_primitive_rows_are_built_once_and_budgeted(monkeypatch):
     monkeypatch.setattr(p1lab, "_primitive", lambda row: calls.append(row) or original(row))
     # a scan of a rank-3 conjugate with p/q entries scales each row once
     rng = random.Random(3)
-    m = matmul(random_unimodular(rng, 3, +1), LaurentMatrix.diagonal_powers([1, 0, -1]),
+    m = matmul(random_unimodular(rng, 3, +1), diagonal([1, 0, -1]),
                random_unimodular(rng, 3, -1))
     m = LaurentMatrix([[e * Fraction(1, i + 2) for e in row] for i, row in enumerate(m.rows())])
     assert splitting_via_h0(m) == SplittingType((1, 0, -1))
@@ -354,7 +354,7 @@ def test_h0_of_identity():
 
 
 def test_h0_of_twisted_diagonal():
-    assert h0_count(LaurentMatrix.diagonal_powers([1, 1])) == 4
+    assert h0_count(diagonal([1, 1])) == 4
 
 
 def test_h0_of_first_jet_of_hyperplane():
@@ -388,7 +388,7 @@ def test_splitting_via_h0_on_unimodular_conjugates():
     rng = random.Random(77)
     for rank in range(2, 6):
         degrees = [2, 0, -1, 1, 0][:rank]
-        base = LaurentMatrix.diagonal_powers(degrees)
+        base = diagonal(degrees)
         for _ in range(5):
             m = matmul(random_unimodular(rng, rank, +1), base, random_unimodular(rng, rank, -1))
             assert splitting_via_h0(m) == birkhoff_split(m) == SplittingType(degrees)
@@ -566,7 +566,7 @@ def test_one_expansion_per_matrix(expansions, tmp_path, capsys):
     rng = random.Random(5)
     m = matmul(
         random_unimodular(rng, 3, +1),
-        LaurentMatrix.diagonal_powers([2, 0, -1]),
+        diagonal([2, 0, -1]),
         random_unimodular(rng, 3, -1),
     )
     path = tmp_path / "rank3.txt"
@@ -588,7 +588,7 @@ def test_twisted_section_counts_match_the_twisted_matrix(rng, size, k):
     degrees = [rng.randint(-3, 3) for _ in range(size)]
     m = matmul(
         random_unimodular(rng, size, +1),
-        LaurentMatrix.diagonal_powers(degrees),
+        diagonal(degrees),
         random_unimodular(rng, size, -1),
     )
     unasked = LaurentMatrix(m.rows())
