@@ -11,10 +11,10 @@ Subcommands:
     table    jets -N 1 --lmin <a> --lmax <b>
 
 Each verify claim takes the flags shown and no others; an unknown flag is a
-usage error under the usage line of the subcommand or claim it follows.  -N
-and the table's --lmax - --lmin are at most MAX_N, and -k at most
-sheafdsl.MAX_POWER; a larger one is an input error.  Integer flags take an
-optional '-' and the ASCII digits 0-9 only.
+usage error under the usage line of the level it was typed at: jetk, the
+subcommand or the claim.  -N and the table's --lmax - --lmin are at most
+MAX_N, and -k at most sheafdsl.MAX_POWER; a larger one is an input error.
+Integer flags take an optional '-' and the ASCII digits 0-9 only.
 
 Each subcommand's handler returns one Report and prints nothing; ``run``
 alone turns it into output.  Text mode prints the last step's ``rendered``
@@ -27,12 +27,14 @@ text for both modes; a number too long for str() is an input error.
 Exit codes: 0 verified/success, 1 refuted claim, 2 usage or input error
 (an out-of-range query's inapplicable verdict, or a stdout closed by its
 reader), 3 internal fault: any other exception, reported on stderr as
-``error: internal fault: <Type>: <message>`` without a traceback.
+``error: internal fault: <Type>: <message>`` without a traceback.  A stderr
+closed by its reader loses the message, never the code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -225,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_split, parser=p)
 
     p = sub.add_parser("verify", help="run a verification certificate")
+    p.set_defaults(verify=p)
     claims = p.add_subparsers(dest="claim", required=True)
     # one parser per claim; each handler looks its certificate up when it runs
     for claim, flags, text, handler in (
@@ -263,7 +266,12 @@ def run(argv) -> int:
     """Execute one CLI invocation; prints the report, returns the exit code."""
     try:
         args, extra = _build_parser().parse_known_args(argv)
-        if extra:  # named by the subcommand or claim they follow, with its usage
+        if extra:  # under the usage of the level the first one was typed at
+            at, cmd = argv.index(extra[0]), argv.index(args.command)
+            if at < cmd:
+                args.parser = _build_parser()
+            elif args.command == "verify" and cmd < at < argv.index(args.claim, cmd):
+                args.parser = args.verify
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
@@ -273,20 +281,23 @@ def run(argv) -> int:
         # flushed here, so a stdout closed by its reader is an input error
         print(emit_json(report) if args.json else _text(report), flush=True)
     except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except Exception as exc:  # a bug in jetk, never a verdict on the input
-        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    return _EXIT_BY_VERDICT[report.verdict]
+        code, message = 3, f"internal fault: {type(exc).__name__}: {exc}"
+    else:
+        return _EXIT_BY_VERDICT[report.verdict]
+    with contextlib.suppress(OSError):  # a stderr closed by its reader loses the line
+        print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:
     code = run(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except OSError:  # a closed stdout, which run reported: drop what it holds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # closed by its reader, which run allowed for: drop what it holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

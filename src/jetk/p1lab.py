@@ -132,10 +132,6 @@ class LaurentMatrix(Record):
     def __repr__(self):
         return f"LaurentMatrix({self.rows()!r})"
 
-    def _min_exponent(self) -> int:
-        """The lowest exponent over all nonzero entries."""
-        return min(e.min_degree for row in self._entries for e in row if not e.is_zero())
-
 
 # Largest rank a matrix file may have.  The cofactor determinant costs r!
 # products: on a 2-vCPU machine a benchmark-shaped rank 8 takes up to about
@@ -346,8 +342,8 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
 
     A section is a pair of polynomial vectors (F0(u), F1(v)) with
     F0(u) = u^k m(u) * F1(1/u).  Writing adj/det for the inverse shows
-    deg_v F1 <= det_exponent - (r-1)*lo for u^k m, lo its least entry
-    exponent, so solving on that coefficient range is exhaustive.  Unknowns
+    deg_v F1 <= det_exponent + k - (r-1)*lo, lo the least exponent of m's
+    entries, so solving on that coefficient range is exhaustive.  Unknowns
     less the rank of their equations, read at an exponent offset from m's
     primitive rows, by fraction-free elimination over Z, all spent from
     `budget`, a fresh one by default.
@@ -355,10 +351,10 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
     budget = budget or Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    lo = m._min_exponent()
-    bound = max(0, det_exp + k - (r - 1) * lo)
     budget.step = f"the section count of a twist of a rank-{r} matrix"
     rows = m._primitive_rows(budget)
+    lo = min(e.min_degree for row in rows for e in row if not e.is_zero())
+    bound = max(0, det_exp + k - (r - 1) * lo)
     unknowns = r * (bound + 1)
     budget.spend(r * max(0, bound - lo - k) * unknowns)  # a unit per coefficient read
     equations = []
@@ -373,31 +369,30 @@ def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
 def splitting_via_h0(m: LaurentMatrix) -> SplittingType:
     """Recover the splitting degrees from section counts of twists.
 
-    h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so consecutive
-    differences count the a_i above each threshold.  Every degree is at
-    least lo, the least entry exponent, so at most amax = det_exp - (r-1)*lo,
-    and so at least amin = det_exp - (r-1)*amax: the scan covers [amin, amax].
-    Independent of birkhoff_split.  The whole scan spends from one budget.
+    h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so h0(k) - h0(k-1)
+    counts the a_i >= -k.  No a_i exceeds hi, the highest entry exponent,
+    since a Birkhoff step only lowers a row's degree: the scan starts at
+    k = -hi-1, where the count is 0, and raises k until it has found all r
+    degrees, hi - min(a_i) + 2 counts.  Independent of birkhoff_split.  The
+    whole scan spends from one budget.
     """
     budget = Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    amax = det_exp - (r - 1) * m._min_exponent()
-    amin = det_exp - (r - 1) * amax
-    counts = {
-        k: h0_count(m, k, budget) for k in range(-amax - 1, -amin + 1)
-    }
-    degrees = []
-    above = 0
-    for a in range(amax, amin - 1, -1):
-        n_ge = counts[-a] - counts[-a - 1]
-        if n_ge < above:
+    k = -max(e.max_degree for row in m.rows() for e in row if not e.is_zero()) - 1
+    if h0_count(m, k, budget):
+        raise AssertionError("section counts are inconsistent with the determinant")
+    degrees, last = [], 0
+    while len(degrees) < r:
+        k += 1
+        count = h0_count(m, k, budget)
+        if count - last < len(degrees):
             raise AssertionError("section counts decreased across a twist")
-        degrees.extend([a] * (n_ge - above))
-        above = n_ge
+        degrees += [-k] * (count - last - len(degrees))
+        last = count
     if len(degrees) != r or sum(degrees) != det_exp:
         raise AssertionError("section counts are inconsistent with the determinant")
-    return SplittingType(tuple(degrees))
+    return SplittingType(degrees)
 
 
 def jet_transition(l: int, side: str) -> LaurentMatrix:

@@ -364,21 +364,36 @@ def test_verify_claims_take_only_their_flags(capsys):
         assert json.loads(capsys.readouterr().out)["params"] == {"l": "1"}
     assert run(["verify", "atiyah", "-l", "1"]) == 0
     assert capsys.readouterr().out.startswith("claim: atiyah-class-detects-structures\n")
+    # a flag typed before the subcommand, or before the claim, is named under
+    # that level's usage, wherever the claim's own flags stand
+    top = "usage: jetk [-h] {kclass,split,verify,birkhoff,table} ...\njetk: error: "
+    for argv, usage in ((["--bogus", "kclass", "-N", "2", "O"], top),
+                        (["--bogus", "verify", "atiyah", "-l", "1"], top),
+                        (["verify", "--bogus", "atiyah", "-l", "1"], "usage: jetk verify [-h] "),
+                        (["verify", "--json", "--bogus", "atiyah", "-l", "1"], "usage: jetk verify [-h] ")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage), (argv, captured.err)
+        assert captured.err.endswith("error: unrecognized arguments: --bogus\n"), (argv, captured.err)
 
 
-def _closed_stdout_run(argv):
-    """jetk in a fresh process whose stdout is a pipe with its read end
-    closed, block-buffered as a shell pipe is: (exit code, stderr)."""
+def _closed_stdout_run(argv, stdout=True, stderr=False):
+    """jetk in a fresh process whose stdout, stderr or both, as chosen, are a
+    pipe with its read end closed, block-buffered as a shell pipe is: (exit
+    code, stderr, empty when closed)."""
     read, write = os.pipe()
     os.close(read)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(jetk.__file__).resolve().parent.parent)
     try:
-        proc = subprocess.run([sys.executable, "-m", "jetk.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "jetk.cli", *argv],
+                              stdout=write if stdout else subprocess.DEVNULL,
+                              stderr=write if stderr else subprocess.PIPE,
+                              env=env, text=True, timeout=60)
     finally:
         os.close(write)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr or ""
 
 
 def test_closed_stdout_is_an_input_error():
@@ -390,6 +405,35 @@ def test_closed_stdout_is_an_input_error():
         assert code == 2, (argv, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Broken pipe" in err
+
+
+def test_closed_stderr_keeps_the_exit_code(tmp_path):
+    # a success, a usage error and an input error: a closed stderr loses the
+    # message, never the code, and a closed stdout as well fails the success
+    for argv, alone, both in ((["kclass", "-N", "2", "O"], 0, 2),
+                              (["--bogus", "kclass", "-N", "2", "O"], 2, 2),
+                              (["birkhoff", "--matrix", str(tmp_path / "none.txt")], 2, 2)):
+        assert _closed_stdout_run(argv, stdout=False, stderr=True)[0] == alone, argv
+        assert _closed_stdout_run(argv, stderr=True)[0] == both, argv
+
+
+class _ClosedStream(io.StringIO):
+    """A stream whose reader has gone: every write is a broken pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stderr_in_process(monkeypatch):
+    # an internal fault stays 3 when its error line cannot be written
+    def broken(matrix):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(p1lab, "birkhoff_split", broken)
+    monkeypatch.setattr(sys, "stderr", _ClosedStream())
+    assert run(["split", "-N", "1", "J1(O(2), right)"]) == 3
+    assert run(["split", "-N", "2", "J1(O(2), right)"]) == 2
+    assert run(["--bogus", "split", "-N", "1", "J1(O(2), right)"]) == 2
 
 
 def test_closed_stdout_in_process(capsys):

@@ -302,11 +302,17 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     assert h0_count(conjugate) == h0_count(conjugate) == 4
     charges = _RecordedBudget.last.charges
     assert charges[0] == 2 * 4 * 8 and set(charges[1:]) == {p1lab.ELIMINATION_WORK * 8}
-    # an entry u^-600 widens the scan to 1,202 twists of up to 2,402
-    # unknowns, which ran over 20 s unbudgeted; the budget refuses it
+    # an entry u^-600 gives each count about 1,200 unknowns; the scan stops
+    # at the last degree, two counts in, within the budget
     wide = LaurentMatrix([[u(0), u(-600)], [LaurentPoly.zero(), u(0)]])
+    assert splitting_via_h0(wide) == SplittingType((0, 0))
+    assert _RecordedBudget.last.spent <= MAX_WORK
+    # at u^-1500 the first count's reads alone are over it: refused in the
+    # same step, before any elimination
+    monkeypatch.setattr(p1lab, "_eliminate", lambda *args: pytest.fail("eliminated"))
+    wider = LaurentMatrix([[u(0), u(-1500)], [LaurentPoly.zero(), u(0)]])
     with pytest.raises(ValueError, match="^the section count of a twist of a rank-2 matrix needs at least"):
-        splitting_via_h0(wide)
+        splitting_via_h0(wider)
 
 
 def test_primitive_rows_are_built_once_and_budgeted(monkeypatch):
@@ -382,16 +388,37 @@ def test_section_oracles_require_unit_determinant():
         splitting_via_h0(bad)
 
 
-def test_splitting_via_h0_on_unimodular_conjugates():
+@pytest.fixture
+def scanned(monkeypatch):
+    """splitting_via_h0, checked to count just the twists k = -hi-1, ...,
+    -min(degrees), hi the highest entry exponent: hi - min(degrees) + 2."""
+    twists = []
+    original = p1lab.h0_count
+    monkeypatch.setattr(p1lab, "h0_count", lambda m, k, budget: twists.append(k) or original(m, k, budget))
+
+    def scan(m):
+        twists.clear()
+        split = splitting_via_h0(m)
+        hi = max(e.max_degree for row in m.rows() for e in row if not e.is_zero())
+        assert twists == list(range(-hi - 1, -min(split.degrees) + 1)), m
+        return split
+
+    return scan
+
+
+def test_splitting_via_h0_on_unimodular_conjugates(scanned):
     # the factors carry Fraction entries, so the section counts run on the
-    # matrix rows made primitive
+    # matrix rows made primitive; degrees spread over -4..4 make large count
+    # systems, and a scan of the determinant's whole twist range was refused
+    # by its budget on the rank-5 ones
     rng = random.Random(77)
-    for rank in range(2, 6):
-        degrees = [2, 0, -1, 1, 0][:rank]
+    spread = [[4, -4], [4, 4, -4], [3, -4, 0, 2], [-4, 3, -3, 3, 1], [4, -1, 2, -4, 0]]
+    for degrees in [[2, 0, -1, 1, 0][:rank] for rank in range(2, 6)] + spread:
         base = diagonal(degrees)
         for _ in range(5):
-            m = matmul(random_unimodular(rng, rank, +1), base, random_unimodular(rng, rank, -1))
-            assert splitting_via_h0(m) == birkhoff_split(m) == SplittingType(degrees)
+            m = matmul(random_unimodular(rng, base.size, +1), base,
+                       random_unimodular(rng, base.size, -1))
+            assert scanned(m) == birkhoff_split(m) == SplittingType(degrees)
 
 
 # Systems up to 8x8 of ints, or of ints and p/q; the rows past a random
@@ -438,11 +465,11 @@ def test_elimination_matches_the_fraction_oracle(seed):
     assert all(sum(a * x for a, x in zip(row, kernel)) == 0 for row in rows)
 
 
-def test_oracles_agree_on_jet_corpus():
-    for l in range(-5, 11):
+def test_oracles_agree_on_jet_corpus(scanned):
+    for l in range(-6, 11):
         for side in ("left", "right"):
             m = jet_transition(l, side)
-            assert splitting_via_h0(m) == birkhoff_split(m)
+            assert scanned(m) == birkhoff_split(m)
 
 
 def test_jet_splitting_values():
