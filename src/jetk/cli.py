@@ -10,11 +10,12 @@ Subcommands:
     birkhoff --matrix <path>            factor an ingested transition matrix
     table    jets -N 1 --lmin <a> --lmax <b>
 
-Each verify claim takes the flags shown and no others; an unknown flag is a
-usage error under the usage line of the level it was typed at: jetk, the
-subcommand or the claim.  -N and the table's --lmax - --lmin are at most
-MAX_N, and -k at most sheafdsl.MAX_POWER; a larger one is an input error.
-Integer flags take an optional '-' and the ASCII digits 0-9 only.
+Each verify claim takes the flags shown and no others.  Every flag error is
+a usage error under the usage line of the level it was typed at (jetk, the
+subcommand or the claim): an unknown flag, a missing one, an integer flag
+other than an optional '-' and the ASCII digits 0-9, and an -N outside
+1..MAX_N or a -k outside 1..sheafdsl.MAX_POWER.  The table's --lmax - --lmin
+over MAX_N is an input error.
 
 Each subcommand's handler returns one Report and prints nothing; ``run``
 alone turns it into output.  Text mode prints the last step's ``rendered``
@@ -36,7 +37,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 from fractions import Fraction
@@ -109,16 +109,6 @@ def _text(report: Report) -> str:
     return _encode(final["rendered"]) if "rendered" in final else _render_report(report)
 
 
-def _check_sizes(args) -> None:
-    """Reject an -N or -k below 1 or too large to compute with, before any work."""
-    for flag, limit in (("N", MAX_N), ("k", sheafdsl.MAX_POWER)):
-        value = getattr(args, flag, None)
-        if value is not None and value > limit:
-            raise ValueError(f"-{flag} {value} exceeds the limit of {limit}")
-        if value is not None and value < 1:
-            raise ValueError(f"-{flag} {value} is below the minimum of 1")
-
-
 def _splitting_step(splitting) -> Step:
     return Step("Birkhoff splitting degrees",
                 {"splitting": list(splitting.degrees), "rendered": splitting})
@@ -169,14 +159,8 @@ def _cmd_table(args):
         raise ValueError("the jet table tabulates splittings on the line; use -N 1")
     if args.lmin > args.lmax:
         raise ValueError(f"--lmin {args.lmin} exceeds --lmax {args.lmax}")
-    span = args.lmax - args.lmin
-    if span > MAX_N:
-        try:
-            shown = str(span)
-        except ValueError:  # more digits than str() converts: name their count
-            d = math.floor((span.bit_length() - 1) * math.log10(2)) + 1
-            shown = f"a number of {d + (span >= 10**d)} digits"
-        raise ValueError(f"--lmax - --lmin = {shown} exceeds the limit of {MAX_N}")
+    if args.lmax - args.lmin > MAX_N:
+        raise ValueError(f"--lmax - --lmin exceeds the limit of {MAX_N}")
     steps, budget = [], Budget()  # one for all the rows
     lines = [f"{'l':>4}  {'left':<12}  {'right':<12}  class"]
     for l in range(args.lmin, args.lmax + 1):
@@ -196,38 +180,56 @@ def _cmd_table(args):
     return Report("jet-table", {"N": 1, "lmin": args.lmin, "lmax": args.lmax}, VERIFIED, steps)
 
 
-def _int_flag(text: str) -> int:
+def _int_flag(text: str, limit: int | None = None) -> int:
     """An integer flag: an optional '-' and the ASCII digits 0-9, as an int in
-    an expression (argparse's int also takes other digits, '_' and blanks)."""
+    an expression (argparse's int also takes other digits, '_' and blanks).
+    A size flag, given its limit, is also at least 1 and at most the limit."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
-        return int(text)
+        value = int(text)
     except ValueError:  # more digits than int() converts: not echoed
         raise argparse.ArgumentTypeError(f"a number of {len(digits)} digits is too long") from None
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the limit of {limit}")
+    if limit is not None and value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below the minimum of 1")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that names an unknown argument under its own usage line; the
+    subcommands and claims get this class too (add_subparsers' default)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 @functools.cache  # one parser per process, however often run() is called
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetk",
         description="Exact jet-bundle classes and splitting types on projective space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sizes = {"N": functools.partial(_int_flag, limit=MAX_N),
+             "k": functools.partial(_int_flag, limit=sheafdsl.MAX_POWER)}
 
     p = sub.add_parser("kclass", help="evaluate an expression in K(P^N)")
-    p.add_argument("-N", type=_int_flag, required=True, help="ambient dimension")
+    p.add_argument("-N", type=sizes["N"], required=True, help="ambient dimension")
     p.add_argument("expr", help="sheaf expression, e.g. 'Sym2(Omega) * O(5)'")
-    p.set_defaults(handler=_cmd_kclass, parser=p)
+    p.set_defaults(handler=_cmd_kclass)
 
     p = sub.add_parser("split", help="Birkhoff splitting of a jet bundle on P^1")
-    p.add_argument("-N", type=_int_flag, required=True)
+    p.add_argument("-N", type=sizes["N"], required=True)
     p.add_argument("expr", help="jet expression, e.g. 'J1(O(2), right)'")
-    p.set_defaults(handler=_cmd_split, parser=p)
+    p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("verify", help="run a verification certificate")
-    p.set_defaults(verify=p)
     claims = p.add_subparsers(dest="claim", required=True)
     # one parser per claim; each handler looks its certificate up when it runs
     for claim, flags, text, handler in (
@@ -240,19 +242,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = claims.add_parser(claim, help=text)
         for flag in flags:
-            p.add_argument(f"-{flag}", type=_int_flag, required=True)
-        p.set_defaults(handler=handler, parser=p)
+            p.add_argument(f"-{flag}", type=sizes.get(flag, _int_flag), required=True)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("birkhoff", help="factor a transition matrix from a file")
     p.add_argument("--matrix", required=True, help="path to a ';'-separated matrix")
-    p.set_defaults(handler=_cmd_birkhoff, parser=p)
+    p.set_defaults(handler=_cmd_birkhoff)
 
     p = sub.add_parser("table", help="tabulate jet splittings and classes")
     p.add_argument("what", choices=["jets"])
-    p.add_argument("-N", type=_int_flag, required=True)
+    p.add_argument("-N", type=sizes["N"], required=True)
     p.add_argument("--lmin", type=_int_flag, required=True)
     p.add_argument("--lmax", type=_int_flag, required=True)
-    p.set_defaults(handler=_cmd_table, parser=p)
+    p.set_defaults(handler=_cmd_table)
 
     # last, so each usage line keeps its order; unset unless given, so a
     # --json before a verify claim stands
@@ -265,18 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Execute one CLI invocation; prints the report, returns the exit code."""
     try:
-        args, extra = _build_parser().parse_known_args(argv)
-        if extra:  # under the usage of the level the first one was typed at
-            at, cmd = argv.index(extra[0]), argv.index(args.command)
-            if at < cmd:
-                args.parser = _build_parser()
-            elif args.command == "verify" and cmd < at < argv.index(args.claim, cmd):
-                args.parser = args.verify
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _check_sizes(args)
         report = args.handler(args)
         # flushed here, so a stdout closed by its reader is an input error
         print(emit_json(report) if args.json else _text(report), flush=True)

@@ -143,12 +143,12 @@ class TruncPoly(Record):
     def __mul__(self, other):
         m = self.modulus_exponent
         out = [0] * m
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]  # one term for an int scale
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(m - i):
-                b = other.coeffs[j]
-                if b:
+            if a:
+                for j, b in right:
+                    if i + j >= m:
+                        break
                     out[i + j] += a * b
         return TruncPoly(m, out)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
 from .kring import MUL_BITS, Budget, product_work
@@ -427,10 +426,11 @@ def dlog_of_monomial(g: LaurentPoly) -> LaurentPoly:
         raise ValueError(f"dlog needs a monomial transition, got {g}")
     e = g.min_degree
     c = g.coefficient(e)
-    return g.derivative() * LaurentPoly.monomial(-e, Fraction(1) / c)
+    # each coefficient of g' is c*e, so the division is exact, an int
+    return LaurentPoly({k - e: a // c for k, a in g.derivative().items()})
 
 
-def atiyah_class_p1(l: int) -> int | Fraction:
+def atiyah_class_p1(l: int) -> int:
     """Atiyah class of O(l) on the line: the residue of dlog(u^l).
 
     Equals l under the declared sign convention; zero exactly at l = 0,

@@ -35,6 +35,16 @@ def inverse(p: TruncPoly) -> TruncPoly:
     return TruncPoly(m, inv)
 
 
+def dense_product(p: TruncPoly, q: TruncPoly) -> TruncPoly:
+    """p*q mod t^m by the schoolbook loop over every pair of coefficients."""
+    m = p.modulus_exponent
+    out = [0] * m
+    for i in range(m):
+        for j in range(m - i):
+            out[i + j] += p.coeffs[i] * q.coeffs[j]
+    return TruncPoly(m, out)
+
+
 def degree(s) -> int:
     """The degree of a sum of twists: sum of d * m_d over its terms m_d O(d)."""
     return sum(d * m for d, m in s.items())

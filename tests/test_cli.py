@@ -160,36 +160,55 @@ def test_only_ascii_digits_are_numbers(capsys, tmp_path):
             assert len(captured.err) < 300
 
 
+# each level of the command line: its usage prog, the words that reach it,
+# and a valid rest; a flag typed at a level goes between the two
+_LEVELS = (
+    ("jetk", [], ["kclass", "-N", "2", "O"]),
+    ("jetk kclass", ["kclass"], ["-N", "2", "O"]),
+    ("jetk split", ["split"], ["-N", "1", "J1(O(2), left)"]),
+    ("jetk verify", ["verify"], ["atiyah", "-l", "1"]),
+    ("jetk verify mainsplit", ["verify", "mainsplit"], ["-N", "2", "-l", "1"]),
+    ("jetk verify ktheory", ["verify", "ktheory"], ["-N", "2", "-k", "1", "-l", "1"]),
+    ("jetk verify atiyah", ["verify", "atiyah"], ["-l", "1"]),
+    ("jetk birkhoff", ["birkhoff"], ["--matrix", "matrix.txt"]),
+    ("jetk table", ["table"], ["jets", "-N", "1", "--lmin", "0", "--lmax", "1"]),
+)
+
+
+def _assert_usage_error(argv, prog, message, capsys):
+    """argv, in text and --json mode, is exit 2 with argparse's message under
+    the usage line of prog's level, and prints nothing on stdout."""
+    for args in (argv, [*argv, "--json"]):
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: {prog} [-h] "), (args, captured.err)
+        assert captured.err.endswith(f"\n{prog}: error: {message}\n"), (args, captured.err)
+
+
 def test_size_flags_are_bounded(capsys):
-    def rejected(argv, flag, value, bound=None):
-        limit = sheafdsl.MAX_POWER if flag == "-k" else cli.MAX_N
-        bound = bound or f"exceeds the limit of {limit}"
+    # an -N or -k out of range, non-ASCII or too long is a usage error at its
+    # level (the flags in jetk's valid rest are kclass's)
+    for prog, words, rest in _LEVELS[1:]:
+        for at in (i for i, arg in enumerate(rest) if arg in ("-N", "-k")):
+            flag = rest[at]
+            limit = sheafdsl.MAX_POWER if flag == "-k" else cli.MAX_N
+            for value, message in (("0", "0 is below the minimum of 1"),
+                                   ("-1", "-1 is below the minimum of 1"),
+                                   (str(limit + 1), f"{limit + 1} exceeds the limit of {limit}"),
+                                   ("100000000000", f"100000000000 exceeds the limit of {limit}"),
+                                   ("\u0663", "invalid int value: '\u0663'"),
+                                   ("1" * 4400, "a number of 4400 digits is too long")):
+                argv = [*words, *rest[:at + 1], value, *rest[at + 2:]]
+                _assert_usage_error(argv, prog, f"argument {flag}: {message}", capsys)
+    # the table's span is an input error, its value not printed however long
+    nines = "9" * 4300
+    for lmin, lmax in (("-100000", "100000"), ("0", str(cli.MAX_N + 1)), (f"-{nines}", nines)):
         for mode in ([], ["--json"]):
-            assert run([*argv, *mode]) == 2
+            assert run(["table", "jets", "-N", "1", "--lmin", lmin, "--lmax", lmax, *mode]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: {flag} {value} {bound}\n"
-
-    huge = "100000000000"
-    rejected(["kclass", "-N", huge, "O(5)"], "-N", huge)
-    rejected(["verify", "ktheory", "-N", huge, "-k", "1", "-l", "0"], "-N", huge)
-    rejected(["verify", "mainsplit", "-N", huge, "-l", "1"], "-N", huge)
-    rejected(["verify", "ktheory", "-N", "3", "-k", "5000", "-l", "0"], "-k", "5000")
-    over_n, over_k = str(cli.MAX_N + 1), str(sheafdsl.MAX_POWER + 1)
-    rejected(["kclass", "-N", over_n, "O"], "-N", over_n)
-    rejected(["verify", "ktheory", "-N", "3", "-k", over_k, "-l", "0"], "-k", over_k)
-    for lmin, lmax in ((-100000, 100000), (0, cli.MAX_N + 1)):
-        argv = ["table", "jets", "-N", "1", "--lmin", str(lmin), "--lmax", str(lmax)]
-        rejected(argv, "--lmax - --lmin =", str(lmax - lmin))
-    # a span too long for str() is named by its digit count
-    nines = "9" * 4300
-    argv = ["table", "jets", "-N", "1", "--lmin", f"-{nines}", "--lmax", nines]
-    rejected(argv, "--lmax - --lmin =", "a number of 4301 digits")
-    # an -N or -k below 1, which no subcommand computes with, is named too
-    for value in ("0", "-1"):
-        rejected(["kclass", "-N", value, "O"], "-N", value, "is below the minimum of 1")
-        argv = ["verify", "ktheory", "-N", "3", "-k", value, "-l", "0"]
-        rejected(argv, "-k", value, "is below the minimum of 1")
+            assert captured.err == f"error: --lmax - --lmin exceeds the limit of {cli.MAX_N}\n"
     # the limits themselves are admitted; every N that README, tests and
     # perfbench use (at most 300) lies below them
     assert cli.MAX_N >= 300
@@ -247,6 +266,34 @@ def test_run_never_reports_an_internal_fault(tmp_path_factory, argv, rows, as_js
         code = run([*argv, "--json"] if as_json else argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "internal fault" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+_unreadable, _out_of_size = ("1" * 4400, "\u0663"), ("0", "-1", "-3", "1001")
+_pairs = st.tuples(st.sampled_from(["-N", "-k", "-l", "--lmin", "--lmax"]),
+                   st.sampled_from(["1", "2", *_out_of_size, *_unreadable]))
+_words = st.one_of(_pairs, st.sampled_from([("--json",), ("--bogus",), ("O(2)",), ("jets",),
+                                            ("J1(O(2), left)",), ("--matrix", "no-such.txt")]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.sampled_from([words for _, words, _ in _LEVELS]), st.lists(_words, max_size=5))
+def test_any_argv_is_one_error_at_most(level, words):
+    # a level and flags in any order: a verdict, or one usage or input error
+    argv = [*level, *(token for word in words for token in word)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        one_line = err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("usage: jetk") or one_line, (argv, err)
+    # an integer flag that is no number, or a size out of range, is a usage
+    # error at whichever level it was typed
+    if any(word[-1] in _unreadable or word[0] in ("-N", "-k") and word[1] in _out_of_size
+           for word in words):
+        assert code == 2 and err.startswith("usage: jetk"), (argv, err)
 
 
 def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
@@ -364,18 +411,20 @@ def test_verify_claims_take_only_their_flags(capsys):
         assert json.loads(capsys.readouterr().out)["params"] == {"l": "1"}
     assert run(["verify", "atiyah", "-l", "1"]) == 0
     assert capsys.readouterr().out.startswith("claim: atiyah-class-detects-structures\n")
-    # a flag typed before the subcommand, or before the claim, is named under
-    # that level's usage, wherever the claim's own flags stand
-    top = "usage: jetk [-h] {kclass,split,verify,birkhoff,table} ...\njetk: error: "
-    for argv, usage in ((["--bogus", "kclass", "-N", "2", "O"], top),
-                        (["--bogus", "verify", "atiyah", "-l", "1"], top),
-                        (["verify", "--bogus", "atiyah", "-l", "1"], "usage: jetk verify [-h] "),
-                        (["verify", "--json", "--bogus", "atiyah", "-l", "1"], "usage: jetk verify [-h] ")):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(usage), (argv, captured.err)
-        assert captured.err.endswith("error: unrecognized arguments: --bogus\n"), (argv, captured.err)
+    # an unknown flag is named under the usage of the level it was typed at,
+    # before or after the flags of the levels below
+    for prog, words, rest in _LEVELS:
+        _assert_usage_error([*words, "--bogus", *rest], prog, "unrecognized arguments: --bogus",
+                            capsys)
+    _assert_usage_error(["verify", "--json", "--bogus", "atiyah", "-l", "1"], "jetk verify",
+                        "unrecognized arguments: --bogus", capsys)
+    _assert_usage_error(["--bogus", "verify", "atiyah", "-l", "1"], "jetk",
+                        "unrecognized arguments: --bogus", capsys)
+    # with unknown flags at two levels, the lower level names its own
+    _assert_usage_error(["--bogus", "kclass", "-N", "2", "O", "--other"], "jetk kclass",
+                        "unrecognized arguments: --other", capsys)
+    _assert_usage_error(["verify", "--bogus", "atiyah", "-l", "1", "--other"], "jetk verify atiyah",
+                        "unrecognized arguments: --other", capsys)
 
 
 def _closed_stdout_run(argv, stdout=True, stderr=False):

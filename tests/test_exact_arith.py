@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from jetk.exact_arith import LaurentPoly, TruncPoly, binom, laurent_from_string
 
-from helpers import NotInvertibleError, inverse, power
+from helpers import NotInvertibleError, dense_product, inverse, power
 
 
 def test_binom_small_factorial_case():
@@ -97,6 +98,42 @@ def test_trunc_ring_axioms_randomized():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _classes(m):
+    """Classes mod t^m from sparse to dense: up to m nonzero coefficients."""
+    terms = st.dictionaries(st.integers(0, m - 1),
+                            st.integers(-9, 9) | st.integers(-10**40, 10**40), max_size=m)
+    return terms.map(lambda d: TruncPoly(m, [d.get(i, 0) for i in range(m)]))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.data())
+def test_trunc_product_matches_dense_oracle(data):
+    m = data.draw(st.integers(1, 12))
+    a, b = data.draw(_classes(m)), data.draw(_classes(m))
+    c = data.draw(st.integers(-3, 3) | st.integers(-10**40, 10**40))
+    assert a * b == dense_product(a, b) == b * a
+    assert a * c == dense_product(a, TruncPoly(m, (c,))) == c * a
+
+
+def test_trunc_product_costs_the_terms_of_both_sides():
+    # a scale or a two-term class times a dense class of 2001 terms reads each
+    # term once, as an addition does, not every pair of coefficients
+    m = 2001
+    dense, sparse = TruncPoly(m, [(-1) ** i * (i + 1) for i in range(m)]), TruncPoly(m, (1, -1))
+
+    def best(f):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    add = best(lambda: dense + dense)
+    for product in (lambda: dense * 7, lambda: 7 * dense, lambda: dense * sparse):
+        assert best(product) < 40 * add
 
 
 def _long_division_inverse(coeffs, modulus):

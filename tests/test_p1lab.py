@@ -530,6 +530,17 @@ def test_dlog_residue_extraction():
         dlog_of_monomial(u(0) + u(1))
 
 
+def test_dlog_divides_exactly_in_ints():
+    # c*u^e has dlog e*u^-1 whatever the unit c, and e stays an int
+    for c in (1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 5), Fraction(10**30, 7)):
+        for e in (-5, -1, 1, 2, 9):
+            form = dlog_of_monomial(LaurentPoly.monomial(e, c))
+            assert dict(form.items()) == {-1: e}
+            assert type(form.coefficient(-1)) is int
+        assert dlog_of_monomial(LaurentPoly.monomial(0, c)).is_zero()
+    assert all(type(atiyah_class_p1(l)) is int for l in (-4, 0, 3))
+
+
 def test_corr_at_zero():
     report = verify_corr_p1(0)
     assert report.verdict == VERIFIED
