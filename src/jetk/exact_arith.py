@@ -104,10 +104,6 @@ class TruncPoly(Record):
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, modulus_exponent: int) -> "TruncPoly":
-        return cls(modulus_exponent)
-
-    @classmethod
     def one(cls, modulus_exponent: int) -> "TruncPoly":
         return cls(modulus_exponent, (1,))
 

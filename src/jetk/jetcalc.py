@@ -26,9 +26,9 @@ from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
 from .sheafdsl import Jet, Omega, Tensor, Twist, evaluate
 
 
-def jet_class(N: int, k: int, l: int, budget: Budget | None = None) -> TruncPoly:
+def jet_class(N: int, k: int, l: int, budget: Budget) -> TruncPoly:
     """[J^k(O(l))] on P^N, the same for both sides, by the lambda-ring series,
-    its work spent from `budget`, a fresh one by default."""
+    its work spent from `budget`."""
     return evaluate(Jet(k, Twist(l), "left"), N, budget)
 
 
@@ -36,9 +36,8 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     """Check that the series ``jet_class``, the Euler recursion ``sym_omega``
     telescoped over Sym^i Omega^1, and binom(N+k,N)*[O(l-k)] give one class,
     that of either module structure.  A refutation would indicate a bug.
-    The recursion and the series spend from one budget, and each twist
-    class from its own; more than ``sheafdsl.MAX_WORK`` operations is a
-    ValueError.
+    The recursion, the series and both twist classes spend from one
+    budget; more than ``sheafdsl.MAX_WORK`` operations is a ValueError.
     """
     # The recursion takes about k^2 (N+26) / 2 ring coefficient operations,
     # 0.25-0.44 us each on a 2-vCPU machine (N, k <= 1000): 1.5 units each.
@@ -46,11 +45,11 @@ def verify_ktheory_equality(N: int, k: int, l: int) -> Report:
     if k > 0:
         budget.spend(3 * k * k * (N + 26) // 4, f"-N {N} -k {k}")
     series = jet_class(N, k, l, budget)
-    twist_class = class_of_twist(N, l)
-    telescoped = TruncPoly.zero(N + 1)
+    twist_class = class_of_twist(N, l, budget)
+    telescoped = TruncPoly(N + 1)
     for i in range(k + 1):
         telescoped = telescoped + sym_omega(N, i) * twist_class
-    closed = binom(N + k, N) * class_of_twist(N, l - k)
+    closed = binom(N + k, N) * class_of_twist(N, l - k, budget)
     steps = [
         Step(
             "lambda-ring series Sym^k(Omega^1 + O) (x) O(l) (both module structures)",
@@ -86,6 +85,7 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
     derivation splits the jet projection on the left as well, so both
     structures are Omega^1 + O).  l < 0: inapplicable at this level; on
     the projective line the explicit transition-matrix oracle decides.
+    Omega^1 (x) O(l) and both twist classes spend from one budget.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -110,10 +110,10 @@ def prove_non_isomorphic(N: int, l: int) -> Report:
         ]
         return Report("jet-structures-non-isomorphic", params, REFUTED, steps)
 
-    # charged before the twist classes: its twists l - 1 and l bound their work
-    right_omega = evaluate(Tensor((Omega(), Twist(l))), N)
-    twist_class = class_of_twist(N, l)
-    left_class = (N + 1) * class_of_twist(N, l - 1)
+    budget = Budget()  # Omega (x) O(l) first: its twists l - 1 and l bound the classes' work
+    right_omega = evaluate(Tensor((Omega(), Twist(l))), N, budget)
+    twist_class = class_of_twist(N, l, budget)
+    left_class = (N + 1) * class_of_twist(N, l - 1, budget)
     right_class = right_omega + twist_class
     hom_dim = cohomology_dim(N, -1, 0)
     steps = [

@@ -86,9 +86,9 @@ def extent(s: LaurentPoly) -> tuple:
     return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
 
 
-def class_of_twist(N: int, d: int) -> TruncPoly:
-    """The class of O(d) in K(P^N)."""
-    return sum_to_class(LaurentPoly.monomial(d), N)
+def class_of_twist(N: int, d: int, budget: Budget | None = None) -> TruncPoly:
+    """The class of O(d) in K(P^N), spent from `budget` as sum_to_class does."""
+    return sum_to_class(LaurentPoly.monomial(d), N, budget)
 
 
 def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncPoly:
@@ -178,7 +178,7 @@ def sym_omega(N: int, k: int) -> TruncPoly:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return TruncPoly.one(N + 1)
-    total = binom(N + k, N) * class_of_twist(N, -k)
+    total = binom(N + k, N) * class_of_twist(N, -k)  # own budget: the caller charged it
     for i in range(k):
         total = total - sym_omega(N, i)
     return total

@@ -335,7 +335,7 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
     return SplittingType(tuple(degs))
 
 
-def h0_count(m: LaurentMatrix, k: int = 0, budget: Budget | None = None) -> int:
+def h0_count(m: LaurentMatrix, k: int, budget: Budget | None = None) -> int:
     """Dimension of the space of global sections of the k-th twist of the
     bundle glued by m.
 
@@ -370,15 +370,18 @@ def splitting_via_h0(m: LaurentMatrix) -> SplittingType:
 
     h^0 of the k-th twist is sum_i max(0, a_i + k + 1), so h0(k) - h0(k-1)
     counts the a_i >= -k.  No a_i exceeds hi, the highest entry exponent,
-    since a Birkhoff step only lowers a row's degree: the scan starts at
-    k = -hi-1, where the count is 0, and raises k until it has found all r
-    degrees, hi - min(a_i) + 2 counts.  Independent of birkhoff_split.  The
-    whole scan spends from one budget.
+    which a Birkhoff step only lowers, nor amax = det_exponent - (r-1)*lo,
+    lo the least one: the highest exponent of m(1/u)^-1 = adj/det, which
+    glues the same bundle from the other chart.  The scan starts at
+    k = -min(hi, amax)-1, where the count is 0, and stops once it has found
+    all r degrees.  Independent of birkhoff_split; one budget for the scan.
     """
     budget = Budget()
     _, det_exp = m.det_monomial(budget)
     r = m.size
-    k = -max(e.max_degree for row in m.rows() for e in row if not e.is_zero()) - 1
+    entries = [e for row in m.rows() for e in row if not e.is_zero()]
+    amax = det_exp - (r - 1) * min(e.min_degree for e in entries)
+    k = -min(amax, max(e.max_degree for e in entries)) - 1
     if h0_count(m, k, budget):
         raise AssertionError("section counts are inconsistent with the determinant")
     degrees, last = [], 0

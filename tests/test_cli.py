@@ -633,21 +633,22 @@ def test_birkhoff_numbers_too_long_to_print(tmp_path, capsys):
 
 
 def test_one_budget_per_invocation(monkeypatch, tmp_path, capsys):
-    # a table's rows, verify ktheory's recursion and series, and birkhoff's
-    # determinant and reduction each spend from the budget the command built:
-    # no callee builds one of its own
+    # a table's rows, verify ktheory's and mainsplit's series and twist
+    # classes, and birkhoff's determinant and reduction each spend from the
+    # budget the command built: no callee builds one of its own
     def second_budget(*args):
         raise AssertionError("a second budget")
 
+    kring.sym_omega(4, 3)  # the Euler recursion's classes, each on its own budget, cached
     for module in (p1lab, sheafdsl, kring):
         monkeypatch.setattr(module, "Budget", second_budget)
     path = tmp_path / "matrix.txt"
     path.write_text("u^2 ; 0\n1 - u ; u^-1\n", encoding="utf-8")
     for argv in (["table", "jets", "-N", "1", "--lmin", "-3", "--lmax", "4"],
-                 ["birkhoff", "--matrix", str(path)]):
+                 ["birkhoff", "--matrix", str(path)],
+                 ["verify", "ktheory", "-N", "4", "-k", "3", "-l", "7"],
+                 ["verify", "mainsplit", "-N", "4", "-l", "7"]):
         assert run(argv) == 0, capsys.readouterr().err
-    monkeypatch.setattr(kring, "Budget", cli.Budget)  # each twist class has its own
-    assert run(["verify", "ktheory", "-N", "4", "-k", "3", "-l", "7"]) == 0
     built = []
 
     def first_budget():
@@ -736,7 +737,7 @@ def test_json_report_round_trip():
 
 def test_report_is_a_checked_immutable_value():
     with pytest.raises(ValueError):
-        Report("demo", {}, "bogus")
+        Report("demo", {}, "bogus", [])
     report = Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
     assert report == Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
     with pytest.raises(AttributeError, match="Report is immutable"):

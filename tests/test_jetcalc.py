@@ -5,7 +5,7 @@ import pytest
 from jetk import jetcalc, kring
 from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.jetcalc import jet_class, prove_non_isomorphic, verify_ktheory_equality
-from jetk.kring import class_of_twist, sym_omega
+from jetk.kring import Budget, class_of_twist, sym_omega
 from jetk.p1lab import birkhoff_split, jet_transition
 from jetk.report import INAPPLICABLE, REFUTED, VERIFIED
 from jetk.sheafdsl import evaluate, parse
@@ -15,23 +15,23 @@ from helpers import step_values
 
 def test_jet_class_validation():
     with pytest.raises(ValueError):
-        jet_class(0, 1, 2)
+        jet_class(0, 1, 2, Budget())
     with pytest.raises(ValueError):
-        jet_class(1, 0, 2)
+        jet_class(1, 0, 2, Budget())
 
 
 def test_first_order_jet_on_line():
-    assert jet_class(1, 1, 2).coeffs == (2, 2)
+    assert jet_class(1, 1, 2, Budget()).coeffs == (2, 2)
 
 
 def test_jet_of_structure_sheaf():
     for N in range(1, 6):
         expected = sym_omega(N, 1) + TruncPoly.one(N + 1)
-        assert jet_class(N, 1, 0) == expected
+        assert jet_class(N, 1, 0, Budget()) == expected
 
 
 def test_second_order_jet_closed_form():
-    value = jet_class(2, 2, 3)
+    value = jet_class(2, 2, 3, Budget())
     assert value == 6 * class_of_twist(2, 1)
     assert value.coeffs == (6, 6, 6)
     # term-by-term: sum over i <= 2 of [Sym^i Omega^1] * [O(3)]
@@ -47,13 +47,13 @@ def test_jet_class_is_side_independent():
             for l in range(-6, 7):
                 for side in ("left", "right"):
                     got = evaluate(parse(f"J{k}(O({l}), {side})"), N)
-                    assert got == jet_class(N, k, l)
+                    assert got == jet_class(N, k, l, Budget())
 
 
 def test_jet_rank_bookkeeping():
     for N in range(1, 6):
         for k in range(1, 5):
-            rank = jet_class(N, k, 3).coeffs[0]
+            rank = jet_class(N, k, 3, Budget()).coeffs[0]
             assert rank == binom(N + k, N)
             if k == 1:
                 assert rank == N + 1
@@ -105,20 +105,48 @@ def test_decompositions_share_the_jet_class():
         for l in range(1, 6):
             report = prove_non_isomorphic(N, l)
             values = step_values(report, "class-level consistency")
-            jet = list(jet_class(N, 1, l).coeffs)
+            jet = list(jet_class(N, 1, l, Budget()).coeffs)
             assert values["left"] == values["right"] == jet
 
 
 def test_unequal_classes_refute_non_isomorphism(monkeypatch):
     # a class_of_twist that returns [O(2d)] breaks the class-level consistency
     real = jetcalc.class_of_twist
-    monkeypatch.setattr(jetcalc, "class_of_twist", lambda N, d: real(N, 2 * d))
+    monkeypatch.setattr(jetcalc, "class_of_twist", lambda N, d, *budget: real(N, 2 * d, *budget))
     for N, l in ((3, 2), (1, 1), (4, 7)):
         report = prove_non_isomorphic(N, l)
         values = step_values(report, "class-level consistency")
         assert values["left"] != values["right"]
         assert step_values(report, "H^0(O(-1))")["hom_dim"] == 0
         assert report.verdict == REFUTED
+
+
+def test_certificates_charge_their_twist_classes(monkeypatch):
+    # each certificate's twist classes, and mainsplit's Omega (x) O(l), are
+    # summed on the one budget the certificate built
+    built, seen = [], []
+
+    class Recorded(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def recording(s, N, budget=None):
+        seen.append((s, budget))
+        return original(s, N, budget)
+
+    original = kring.sum_to_class
+    monkeypatch.setattr(jetcalc, "Budget", Recorded)
+    monkeypatch.setattr(kring, "sum_to_class", recording)
+    kring.sym_omega(4, 3)  # the Euler recursion's own classes, cached first
+    for certify, args, twists in ((verify_ktheory_equality, (4, 3, 7), {7, 4}),
+                                  (prove_non_isomorphic, (4, 7), {7, 6})):
+        built.clear()
+        seen.clear()
+        assert certify(*args).verdict == VERIFIED
+        assert len(built) == 1
+        assert {s.min_degree for s, _ in seen if s.is_monomial()} == twists
+        assert all(budget is built[0] for _, budget in seen)
 
 
 def test_ktheory_equality_line_case():
@@ -151,7 +179,8 @@ def test_ktheory_certificate_refutes_a_wrong_twist_class(monkeypatch):
     try:
         with monkeypatch.context() as patch:
             for module in (kring, jetcalc):
-                patch.setattr(module, "class_of_twist", lambda N, d: real(N, 2 * d))
+                patch.setattr(module, "class_of_twist",
+                              lambda N, d, *budget: real(N, 2 * d, *budget))
             for N, k, l in ((3, 2, 5), (4, 3, 7), (10, 10, -3), (1, 1, 2)):
                 assert verify_ktheory_equality(N, k, l).verdict == REFUTED
             # at l = k every side is binom(N+k, N) * [O(0)]: no class tells

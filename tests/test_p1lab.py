@@ -299,7 +299,7 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     rng = random.Random(77)
     conjugate = matmul(random_unimodular(rng, 2, +1), diagonal([2, 0]),
                        random_unimodular(rng, 2, -1))
-    assert h0_count(conjugate) == h0_count(conjugate) == 4
+    assert h0_count(conjugate, 0) == h0_count(conjugate, 0) == 4
     charges = _RecordedBudget.last.charges
     assert charges[0] == 2 * 4 * 8 and set(charges[1:]) == {p1lab.ELIMINATION_WORK * 8}
     # an entry u^-600 gives each count about 1,200 unknowns; the scan stops
@@ -356,23 +356,23 @@ def test_determinant_law():
 
 
 def test_h0_of_identity():
-    assert h0_count(identity(2)) == 2
+    assert h0_count(identity(2), 0) == 2
 
 
 def test_h0_of_twisted_diagonal():
-    assert h0_count(diagonal([1, 1])) == 4
+    assert h0_count(diagonal([1, 1]), 0) == 4
 
 
 def test_h0_of_first_jet_of_hyperplane():
     # J^1(O(1)) is twice the structure sheaf: two constant sections
-    assert h0_count(jet_transition(1, "left")) == 2
+    assert h0_count(jet_transition(1, "left"), 0) == 2
 
 
 def test_h0_matches_splitting_formula():
     for l in range(-5, 11):
         for side in ("left", "right"):
             m = jet_transition(l, side)
-            assert h0_count(m) == section_count(birkhoff_split(m))
+            assert h0_count(m, 0) == section_count(birkhoff_split(m))
 
 
 def test_splitting_via_h0_examples():
@@ -383,15 +383,23 @@ def test_splitting_via_h0_examples():
 def test_section_oracles_require_unit_determinant():
     bad = LaurentMatrix([[u(0) + u(1), LaurentPoly.zero()], [LaurentPoly.zero(), u(0)]])
     with pytest.raises(NotATransitionError):
-        h0_count(bad)
+        h0_count(bad, 0)
     with pytest.raises(NotATransitionError):
         splitting_via_h0(bad)
 
 
+def _degree_bounds(m) -> tuple:
+    """(hi, amax): the highest entry exponent, and det_exponent - (r-1)*lo,
+    lo the lowest, the highest exponent of m(1/u)^-1."""
+    entries = [e for row in m.rows() for e in row if not e.is_zero()]
+    amax = m.det_monomial()[1] - (m.size - 1) * min(e.min_degree for e in entries)
+    return max(e.max_degree for e in entries), amax
+
+
 @pytest.fixture
 def scanned(monkeypatch):
-    """splitting_via_h0, checked to count just the twists k = -hi-1, ...,
-    -min(degrees), hi the highest entry exponent: hi - min(degrees) + 2."""
+    """splitting_via_h0, checked to count just the twists k = -min(hi, amax)-1,
+    ..., -min(degrees): min(hi, amax) - min(degrees) + 2 counts."""
     twists = []
     original = p1lab.h0_count
     monkeypatch.setattr(p1lab, "h0_count", lambda m, k, budget: twists.append(k) or original(m, k, budget))
@@ -399,10 +407,10 @@ def scanned(monkeypatch):
     def scan(m):
         twists.clear()
         split = splitting_via_h0(m)
-        hi = max(e.max_degree for row in m.rows() for e in row if not e.is_zero())
-        assert twists == list(range(-hi - 1, -min(split.degrees) + 1)), m
+        assert twists == list(range(-min(_degree_bounds(m)) - 1, -min(split.degrees) + 1)), m
         return split
 
+    scan.twists = twists
     return scan
 
 
@@ -419,6 +427,25 @@ def test_splitting_via_h0_on_unimodular_conjugates(scanned):
             m = matmul(random_unimodular(rng, base.size, +1), base,
                        random_unimodular(rng, base.size, -1))
             assert scanned(m) == birkhoff_split(m) == SplittingType(degrees)
+
+
+def test_scan_starts_below_both_degree_bounds(scanned):
+    # 300 conjugates of rank 2-5 (rank 2 + i % 4), degrees in -4..4: where
+    # the determinant bound amax is below hi, the scan starts there and makes
+    # hi - amax fewer counts than one from -hi-1, the same splitting
+    rng = random.Random(2121)
+    shorter = {}
+    for i in range(300):
+        degrees = [rng.randint(-4, 4) for _ in range(2 + i % 4)]
+        m = matmul(random_unimodular(rng, len(degrees), +1), diagonal(degrees),
+                   random_unimodular(rng, len(degrees), -1))
+        hi, amax = _degree_bounds(m)
+        if amax < hi:
+            assert scanned(m) == SplittingType(degrees)
+            from_hi = hi - min(degrees) + 2
+            assert len(scanned.twists) == from_hi - (hi - amax)
+            shorter[i] = (from_hi, len(scanned.twists))
+    assert len(shorter) == 29 and shorter[236] == (7, 3)
 
 
 # Systems up to 8x8 of ints, or of ints and p/q; the rows past a random
@@ -631,7 +658,7 @@ def test_twisted_section_counts_match_the_twisted_matrix(rng, size, k):
     )
     unasked = LaurentMatrix(m.rows())
     twisted = LaurentMatrix([[e.shift(k) for e in row] for row in m.rows()])
-    assert h0_count(m, k) == h0_count(twisted) == section_count(SplittingType(d + k for d in degrees))
+    assert h0_count(m, k) == h0_count(twisted, 0) == section_count(SplittingType(d + k for d in degrees))
     # whether the determinant and the primitive rows were asked for never shows
     assert m == unasked
     assert hash(m) == hash(unasked)
@@ -648,7 +675,8 @@ def test_non_monomial_determinant_is_never_remembered(expansions, tmp_path, caps
             [LaurentPoly.zero(), u(0), u(1)],
         ]
     )  # determinant -u^3 + u^2 - u
-    for check in (LaurentMatrix.det_monomial, birkhoff_split, h0_count, splitting_via_h0):
+    for check in (LaurentMatrix.det_monomial, birkhoff_split, lambda m: h0_count(m, 0),
+                  splitting_via_h0):
         for _ in range(2):
             with pytest.raises(NotATransitionError, match="not a unit monomial"):
                 check(bad)
