@@ -16,7 +16,7 @@ from .p1lab import (
     splitting_via_h0,
     verify_corr_p1,
 )
-from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
+from .report import INAPPLICABLE, REFUTED, VERIFIED, Check, Report, Step
 from .sheafdsl import ParseError, RangeError, evaluate, parse, print_expr
 
 __all__ = [
@@ -24,5 +24,5 @@ __all__ = [
     "verify_ktheory_equality", "prove_non_isomorphic",
     "verify_corr_p1", "jet_transition", "matrix_from_text", "birkhoff_split",
     "splitting_via_h0", "SplittingType", "LaurentMatrix",
-    "Report", "Step", "VERIFIED", "REFUTED", "INAPPLICABLE",
+    "Report", "Step", "Check", "VERIFIED", "REFUTED", "INAPPLICABLE",
 ]

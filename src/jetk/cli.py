@@ -18,9 +18,9 @@ other than an optional '-' and the ASCII digits 0-9, and an -N outside
 over MAX_N is an input error.
 
 Each subcommand's handler returns one Report and prints nothing; ``run``
-alone turns it into output.  Text mode prints the last step's ``rendered``
-value when it has one (a class, a splitting, the jet table) and the whole
-report otherwise.  With ``--json`` it emits the report object {claim,
+alone turns it into output.  Text mode prints the last ``rendered`` value
+of a verified report (a class, a splitting, the jet table), and any other
+report whole, failed checks and all.  With ``--json`` it emits {claim,
 params, verdict, steps}; all numbers are serialized as decimal strings so
 arbitrary precision survives any consumer.  ``_encode`` turns values into
 text for both modes; a number too long for str() is an input error.
@@ -42,10 +42,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import jetcalc, p1lab, sheafdsl
+from . import jetcalc, kring, p1lab, sheafdsl
 from .exact_arith import LaurentPoly, TruncPoly
 from .kring import Budget, product_work
-from .report import INAPPLICABLE, REFUTED, VERIFIED, Report, Step
+from .report import INAPPLICABLE, REFUTED, VERIFIED, Check, Report, Step
 
 _EXIT_BY_VERDICT = {VERIFIED: 0, REFUTED: 1, INAPPLICABLE: 2}
 
@@ -76,10 +76,16 @@ def _encode(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _shown(step) -> dict:
+    """A step's values as _encode gives them; a check's also say whether it holds."""
+    values = _encode(step.values)
+    return {**values, "holds": step.holds} if isinstance(step, Check) else values
+
+
 def emit_json(report: Report) -> str:
     """Serialize a report; numbers become decimal strings."""
     import json  # here, not at the top: most CLI processes never touch JSON
-    steps = [{"description": s.description, "values": _encode(s.values)} for s in report.steps]
+    steps = [{"description": s.description, "values": _shown(s)} for s in report.steps]
     payload = {"claim": report.claim, "params": _encode(report.params),
                "verdict": report.verdict, "steps": steps}
     return json.dumps(payload, indent=2)
@@ -98,27 +104,36 @@ def _render_report(report: Report) -> str:
     lines = [f"claim: {report.claim}", f"params: {params}", f"verdict: {report.verdict}"]
     for idx, step in enumerate(report.steps, start=1):
         lines.append(f"  {idx}. {step.description}")
-        for key, value in _encode(step.values).items():
+        for key, value in _shown(step).items():
             lines.append(f"     {key} = {_render_value(value)}")
     return "\n".join(lines)
 
 
 def _text(report: Report) -> str:
-    """Text mode: the last step's rendered value if it has one, else the report."""
-    final = report.steps[-1].values if report.steps else {}
+    """Text mode: the last rendered value of a report that exits 0, else the report."""
+    final = report.steps[-1].values if _EXIT_BY_VERDICT[report.verdict] == 0 else {}
     return _encode(final["rendered"]) if "rendered" in final else _render_report(report)
 
 
-def _splitting_step(splitting) -> Step:
-    return Step("Birkhoff splitting degrees",
-                {"splitting": list(splitting.degrees), "rendered": splitting})
+def _splitting_steps(matrix, budget: Budget) -> list:
+    """The Birkhoff splitting of matrix, checked against its determinant."""
+    splitting = p1lab.birkhoff_split(matrix, budget)
+    return [p1lab.determinant_check(matrix, splitting, "the splitting"),
+            Step("Birkhoff splitting degrees",
+                 {"splitting": list(splitting.degrees), "rendered": splitting})]
 
 
 def _cmd_kclass(args):
-    value = sheafdsl.evaluate(sheafdsl.parse(args.expr), args.N)
-    step = Step(f"class in the basis {{1, t, ..., t^{args.N}}}",
-                {"coefficients": list(value.coeffs), "rendered": value})
-    return Report("kclass", {"N": args.N, "expr": args.expr}, VERIFIED, [step])
+    budget = Budget()
+    twists = sheafdsl.twist_sum(sheafdsl.parse(args.expr), args.N, budget)
+    value = kring.sum_to_class(twists, args.N, budget)
+    chi = {"class": kring.euler_characteristic(value, args.N),
+           "twist_sum": kring.euler_characteristic(twists, args.N, budget)}
+    steps = [Check("chi of the class, its coefficient sum, is that of its twist sum", chi,
+                   chi["class"] == chi["twist_sum"]),
+             Step(f"class in the basis {{1, t, ..., t^{args.N}}}",
+                  {"coefficients": list(value.coeffs), "rendered": value})]
+    return Report("kclass", {"N": args.N, "expr": args.expr}, steps)
 
 
 def _cmd_split(args):
@@ -135,10 +150,10 @@ def _cmd_split(args):
     steps = [
         Step("first-order jet transition matrix",
              {"matrix": [e for row in matrix.rows() for e in row]}),
-        _splitting_step(p1lab.birkhoff_split(matrix)),
+        *_splitting_steps(matrix, Budget()),
     ]
     params = {"N": 1, "expr": args.expr, "l": expr.arg.d, "side": expr.side}
-    return Report("birkhoff-splitting", params, VERIFIED, steps)
+    return Report("birkhoff-splitting", params, steps)
 
 
 def _cmd_birkhoff(args):
@@ -148,10 +163,10 @@ def _cmd_birkhoff(args):
     steps = [
         Step("ingested matrix", {"rows": matrix}),
         Step("determinant monomial", {"coefficient": coeff, "exponent": exponent}),
-        _splitting_step(p1lab.birkhoff_split(matrix, budget)),
+        *_splitting_steps(matrix, budget),
     ]
     params = {"matrix": args.matrix, "size": matrix.size}
-    return Report("birkhoff-splitting", params, VERIFIED, steps)
+    return Report("birkhoff-splitting", params, steps)
 
 
 def _cmd_table(args):
@@ -164,20 +179,25 @@ def _cmd_table(args):
     steps, budget = [], Budget()  # one for all the rows
     lines = [f"{'l':>4}  {'left':<12}  {'right':<12}  class"]
     for l in range(args.lmin, args.lmax + 1):
-        left = p1lab.birkhoff_split(p1lab.jet_transition(l, "left"), budget)
-        right = p1lab.birkhoff_split(p1lab.jet_transition(l, "right"), budget)
+        matrices = [p1lab.jet_transition(l, side) for side in ("left", "right")]
+        left, right = (p1lab.birkhoff_split(m, budget) for m in matrices)
         value = jetcalc.jet_class(1, 1, l, budget)
         # the decimal text of a b-bit int costs about product_work(b, b)
         # units (0.13 us a unit up to 4,000 digits)
         bits = [abs(n).bit_length() for n in (l, *left.degrees, *right.degrees, *value.coeffs)]
         budget.spend(sum(product_work(b, b) for b in bits), "the text of the jet table")
-        steps.append(Step(f"first-order jet of O({l})", {
-            "l": l, "left": list(left.degrees), "right": list(right.degrees),
-            "class": list(value.coeffs),
-        }))
+        # on P^1 a class is (rank, degree), and a splitting's degree is its sum
+        steps += [
+            Check(f"first-order jet of O({l})",
+                  {"l": l, "left": list(left.degrees), "right": list(right.degrees),
+                   "class": list(value.coeffs)},
+                  value.coeffs[1] == sum(left.degrees) == sum(right.degrees)),
+            p1lab.determinant_check(matrices[0], left, f"the left splitting of O({l})"),
+            p1lab.determinant_check(matrices[1], right, f"the right splitting of O({l})"),
+        ]
         lines.append("{:>4}  {:<12}  {:<12}  {}".format(*_encode([l, left, right, value])))
     steps.append(Step("the rows above as a table", {"rendered": "\n".join(lines)}))
-    return Report("jet-table", {"N": 1, "lmin": args.lmin, "lmax": args.lmax}, VERIFIED, steps)
+    return Report("jet-table", {"N": 1, "lmin": args.lmin, "lmax": args.lmax}, steps)
 
 
 def _int_flag(text: str, limit: int | None = None) -> int:

@@ -86,6 +86,15 @@ def extent(s: LaurentPoly) -> tuple:
     return len(sizes), max(sizes, default=0), s.min_degree or 0, s.max_degree or 0
 
 
+def _ratio_work(size: tuple, N: int, steps: int) -> int:
+    """Units of `steps` ratio steps over the binomials of a twist sum of this
+    extent on P^N: 2 a term, 1 a step, and the size charge of its product."""
+    n, big, lo, hi = size
+    top = max(-lo, hi)
+    bits = big.bit_length() + binom_bits(top, N)
+    return 2 * n + steps + product_work(bits, (top + N).bit_length(), steps)
+
+
 def class_of_twist(N: int, d: int, budget: Budget | None = None) -> TruncPoly:
     """The class of O(d) in K(P^N), spent from `budget` as sum_to_class does."""
     return sum_to_class(LaurentPoly.monomial(d), N, budget)
@@ -102,12 +111,11 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
     by default, before the first runs, so no N is too large to be refused."""
     if N < 1:
         raise ValueError("N must be positive")
-    n, big, lo, hi = extent(s)
-    top = max(-lo, hi)
-    bits = big.bit_length() + binom_bits(top, N)
+    size = extent(s)
+    n, _, lo, hi = size
     steps = n * (N if hi > 0 else min(N, 1 - lo))
-    work = 2 * n + steps + product_work(bits, (top + N).bit_length(), steps)
-    work = max(work, 2 * n + N + 1)  # a step fills one coefficient; all N + 1 are built
+    # a step fills one coefficient; all N + 1 are built
+    work = max(_ratio_work(size, N, steps), 2 * n + N + 1)
     (budget or Budget()).spend(work, f"the class on P^{N} of a twist sum of length {n}")
     coeffs = [0] * (N + 1)
     for d, c in s.items():
@@ -118,6 +126,30 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
                 break
             coeffs[i] += c
     return TruncPoly(N + 1, coeffs)
+
+
+def euler_characteristic(x, N: int, budget: Budget | None = None) -> int:
+    """chi on P^N of a class: its coefficient sum, as t^i is the class of a
+    linear P^(N-i).  Or of a twist sum: sum_d m_d binom(N+d, N), that is
+    binom(n, N) for n = N+d >= N, 0 for -N <= d < 0, and (-1)^N binom(n, N)
+    for n = -d-1 >= N.  By increasing n each comes from the last by the
+    ratio binom(j, N) = binom(j-1, N) * j/(j-N), or from math.comb past a
+    gap of N: steps charged first, as sum_to_class's are, to `budget`."""
+    if isinstance(x, TruncPoly):
+        return sum(x.coeffs)
+    terms = sorted((N + d, m) if d >= 0 else (-d - 1, (-1) ** N * m)
+                   for d, m in x.items() if not -N <= d < 0)
+    steps = sum(min(n - last, N) for (n, _), last in zip(terms, [N, *(n for n, _ in terms)]))
+    (budget or Budget()).spend(_ratio_work(extent(x), N, steps),
+                               f"chi on P^{N} of a twist sum of length {len(x.items())}")
+    chi, last, b = 0, N, 1  # b = binom(last, N)
+    for n, m in terms:
+        if n - last > N:
+            last, b = n, math.comb(n, N)
+        for j in range(last + 1, n + 1):
+            b = b * j // (j - N)
+        chi, last = chi + m * b, n
+    return chi
 
 
 def _series_coefficient(s: LaurentPoly, k: int, sign: int, budget: Budget) -> LaurentPoly:
@@ -182,20 +214,3 @@ def sym_omega(N: int, k: int) -> TruncPoly:
     for i in range(k):
         total = total - sym_omega(N, i)
     return total
-
-
-def cohomology_dim(N: int, d: int, i: int) -> int:
-    """dim H^i(P^N, O(d)).
-
-    Nonzero only in degrees 0 and N: h^0 = binom(N+d, N) for d >= 0 and
-    h^N = binom(-d-1, N) for -d-1 >= N.  Total on all inputs.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if i < 0:
-        raise ValueError("i must be nonnegative")
-    if i == 0:
-        return binom(N + d, N) if d >= 0 else 0
-    if i == N:
-        return binom(-d - 1, N) if -d - 1 >= N else 0
-    return 0

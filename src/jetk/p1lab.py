@@ -37,7 +37,7 @@ import math
 
 from .exact_arith import LaurentPoly, Record, laurent_from_string
 from .kring import MUL_BITS, Budget, product_work
-from .report import REFUTED, VERIFIED, Report, Step
+from .report import Check, Report, Step
 
 
 class NotATransitionError(ValueError):
@@ -190,7 +190,7 @@ def _det(rows, budget: Budget, sizes: dict) -> LaurentPoly:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     sign = 1
     for j in range(n):
         if not rows[0][j].is_zero():
@@ -300,7 +300,7 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
     large multipliers.  Past kring.MAX_WORK a ValueError names the step.
     """
     budget = budget or Budget()
-    _, det_exp = m.det_monomial(budget)
+    m.det_monomial(budget)  # only a transition splits
     r = m.size
     budget.step = f"the Birkhoff reduction of a rank-{r} matrix"
     rows = list(m._primitive_rows(budget))
@@ -321,7 +321,7 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
         budget.spend((REDUCTION_WORK + product_work(bits, bits))
                      * sum(len(e.items()) for row in rows for e in row))
         target = max(support, key=lambda i: (degs[i], -i))
-        new_row = [LaurentPoly.zero() for _ in range(r)]
+        new_row = [LaurentPoly() for _ in range(r)]
         for i in support:
             shift = degs[target] - degs[i]
             for j in range(r):
@@ -330,9 +330,15 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
         if new_deg is None or new_deg >= degs[target]:
             raise AssertionError("row reduction failed to lower the degree")
         rows[target], degs[target] = _primitive(new_row), new_deg
-    if sum(degs) != det_exp:
-        raise AssertionError("row-proper degrees do not match the determinant")
     return SplittingType(tuple(degs))
+
+
+def determinant_check(m: LaurentMatrix, splitting: SplittingType, name: str) -> Check:
+    """The cross-check of `name`, a splitting of m: its degrees sum to the
+    exponent of m's determinant, as those of diag(u^a_i) do."""
+    total, (_, det_exp) = sum(splitting.degrees), m.det_monomial()
+    return Check(f"the degrees of {name} sum to its determinant's exponent",
+                 {"degree_sum": total, "det_exponent": det_exp}, total == det_exp)
 
 
 def h0_count(m: LaurentMatrix, k: int, budget: Budget | None = None) -> int:
@@ -444,8 +450,8 @@ def atiyah_class_p1(l: int) -> int:
 
 def verify_corr_p1(l: int) -> Report:
     """Check: the Atiyah class of O(l) vanishes iff the left and right
-    first-order jet structures have equal Birkhoff splitting.  Both
-    reductions spend from one budget."""
+    first-order jet structures have equal Birkhoff splitting, each checked
+    against its determinant.  Both reductions spend from one budget."""
     a_class = atiyah_class_p1(l)
     left_matrix = jet_transition(l, "left")
     right_matrix = jet_transition(l, "right")
@@ -454,36 +460,21 @@ def verify_corr_p1(l: int) -> Report:
     right_split = birkhoff_split(right_matrix, budget)
     class_zero = a_class == 0
     splittings_equal = left_split == right_split
+    equivalence = class_zero == splittings_equal
     steps = [
-        Step(
-            "Atiyah class as the residue of dlog(u^l)",
-            {"l": l, "residue": a_class},
-        ),
-        Step(
-            "left jet transition in (value, derivative) coordinates "
-            "and its Birkhoff splitting",
-            {
-                "matrix": [e for row in left_matrix.rows() for e in row],
-                "splitting": list(left_split.degrees),
-            },
-        ),
-        Step(
-            "right jet transition, block diagonal in the frame adapted to "
-            "the right splitting (the naive jet frame differs by a "
-            "unimodular change, invisible to the splitting)",
-            {
-                "matrix": [e for row in right_matrix.rows() for e in row],
-                "splitting": list(right_split.degrees),
-            },
-        ),
-        Step(
-            "class vanishes iff the splittings agree",
-            {
-                "class_zero": class_zero,
-                "splittings_equal": splittings_equal,
-                "equivalence_holds": class_zero == splittings_equal,
-            },
-        ),
+        Step("Atiyah class as the residue of dlog(u^l)", {"l": l, "residue": a_class}),
+        Step("left jet transition in (value, derivative) coordinates and its Birkhoff splitting",
+             {"matrix": [e for row in left_matrix.rows() for e in row],
+              "splitting": list(left_split.degrees)}),
+        determinant_check(left_matrix, left_split, "the left splitting"),
+        Step("right jet transition, block diagonal in the frame adapted to "
+             "the right splitting (the naive jet frame differs by a "
+             "unimodular change, invisible to the splitting)",
+             {"matrix": [e for row in right_matrix.rows() for e in row],
+              "splitting": list(right_split.degrees)}),
+        determinant_check(right_matrix, right_split, "the right splitting"),
+        Check("class vanishes iff the splittings agree",
+              {"class_zero": class_zero, "splittings_equal": splittings_equal,
+               "equivalence_holds": equivalence}, equivalence),
     ]
-    verdict = VERIFIED if class_zero == splittings_equal else REFUTED
-    return Report("atiyah-class-detects-structures", {"l": l}, verdict, steps)
+    return Report("atiyah-class-detects-structures", {"l": l}, steps)

@@ -283,16 +283,19 @@ def print_expr(e) -> str:
 
 
 def evaluate(e, N: int, budget: Budget | None = None) -> TruncPoly:
-    """Evaluate an expression to its class in K(P^N).
+    """The class in K(P^N) of e's twist_sum, on one Budget: the caller's or a fresh one."""
+    budget = budget or Budget()
+    return kring.sum_to_class(twist_sum(e, N, budget), N, budget)
 
-    Every node becomes a sum of twists, a Laurent polynomial in [O(1)].
-    J^k(O(l)) telescopes to sum_{i<=k} Sym^i Omega (x) O(l) = Sym^k(Omega + O)
-    (x) O(l), and Omega + O = (N+1) O(-1).  All steps spend from one Budget,
-    the caller's or a fresh one; the step that takes it past MAX_WORK raises
-    a ValueError naming it."""
+
+def twist_sum(e, N: int, budget: Budget) -> LaurentPoly:
+    """The sum of twists, a Laurent polynomial in [O(1)], that every node of
+    an expression becomes on P^N.  J^k(O(l)) telescopes to sum_{i<=k} Sym^i
+    Omega (x) O(l) = Sym^k(Omega + O) (x) O(l), and Omega + O = (N+1) O(-1).
+    All steps spend from `budget`; the one that takes it past MAX_WORK
+    raises a ValueError naming it."""
     if N < 1:
         raise ValueError("N must be positive")
-    budget = budget or Budget()
 
     def value(e) -> LaurentPoly:
         if isinstance(e, Twist):
@@ -325,4 +328,4 @@ def evaluate(e, N: int, budget: Budget | None = None) -> TruncPoly:
             return kring.sym_power(LaurentPoly({-1: N + 1}), e.order, budget).shift(e.arg.d)
         raise TypeError(f"not an expression node: {e!r}")
 
-    return kring.sum_to_class(value(e), N, budget)
+    return value(e)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from jetk.exact_arith import LaurentPoly, TruncPoly
+from jetk.exact_arith import LaurentPoly, TruncPoly, binom
 from jetk.p1lab import LaurentMatrix
 
 
@@ -48,6 +48,23 @@ def dense_product(p: TruncPoly, q: TruncPoly) -> TruncPoly:
 def degree(s) -> int:
     """The degree of a sum of twists: sum of d * m_d over its terms m_d O(d)."""
     return sum(d * m for d, m in s.items())
+
+
+def cohomology_dim(N: int, d: int, i: int) -> int:
+    """dim H^i(P^N, O(d)).
+
+    Nonzero only in degrees 0 and N: h^0 = binom(N+d, N) for d >= 0 and
+    h^N = binom(-d-1, N) for -d-1 >= N.  Total on all inputs.
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
+    if i < 0:
+        raise ValueError("i must be nonnegative")
+    if i == 0:
+        return binom(N + d, N) if d >= 0 else 0
+    if i == N:
+        return binom(-d - 1, N) if -d - 1 >= N else 0
+    return 0
 
 
 def section_count(splitting) -> int:

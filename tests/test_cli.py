@@ -22,7 +22,8 @@ import jetk
 from jetk import cli, kring, p1lab, sheafdsl
 from jetk.cli import _render_report, emit_json, run
 from jetk.exact_arith import binom
-from jetk.report import REFUTED, VERIFIED, Report, Step
+from jetk.p1lab import SplittingType
+from jetk.report import INAPPLICABLE, REFUTED, VERIFIED, Check, Report, Step
 
 
 def test_kclass_text_output(capsys):
@@ -38,7 +39,9 @@ def test_kclass_json_output(capsys):
     assert code == 0
     assert payload["claim"] == "kclass"
     assert payload["verdict"] == "verified"
-    assert payload["steps"][0]["values"]["coefficients"] == ["3", "0", "-3"]
+    assert payload["steps"][-1]["values"]["coefficients"] == ["3", "0", "-3"]
+    # chi of the class, its coefficient sum, against that of its twist sum
+    assert payload["steps"][0]["values"] == {"class": "0", "twist_sum": "0", "holds": True}
 
 
 def test_kclass_bad_expression_exits_2(capsys):
@@ -297,8 +300,8 @@ def test_any_argv_is_one_error_at_most(level, words):
 
 
 def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
-    def broken(matrix):
-        raise AssertionError("row-proper degrees do not match the determinant")
+    def broken(matrix, *budget):
+        raise AssertionError("row reduction failed to lower the degree")
 
     monkeypatch.setattr(p1lab, "birkhoff_split", broken)
     assert run(["split", "-N", "1", "J1(O(2), right)"]) == 3
@@ -306,10 +309,10 @@ def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: internal fault: AssertionError: "
-        "row-proper degrees do not match the determinant\n"
+        "row reduction failed to lower the degree\n"
     )
 
-    def recursing(matrix):
+    def recursing(matrix, *budget):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(p1lab, "birkhoff_split", recursing)
@@ -317,6 +320,35 @@ def test_internal_fault_exits_3_without_traceback(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: internal fault: RecursionError: maximum recursion depth exceeded\n"
     )
+
+
+def test_failed_determinant_check_refutes_with_both_sides(monkeypatch, tmp_path, capsys):
+    # degrees that miss the determinant's exponent are a refuted claim that
+    # shows both sums, in text and JSON mode alike, never an internal fault
+    original = p1lab.birkhoff_split
+
+    def raised(matrix, *budget):
+        return SplittingType(d + 1 for d in original(matrix, *budget).degrees)
+
+    monkeypatch.setattr(p1lab, "birkhoff_split", raised)
+    path = tmp_path / "trans.txt"
+    path.write_text("u^2 ; 0\n2*u ; -1\n", encoding="utf-8")
+    # both files split as {0, 2} with determinant u^2; raised, the degrees sum to 4
+    for argv in (["split", "-N", "1", "J1(O(2), right)"], ["birkhoff", "--matrix", str(path)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert "verdict: refuted" in lines
+        at = next(i for i, line in enumerate(lines)
+                  if line.endswith(". the degrees of the splitting sum to its determinant's exponent"))
+        assert lines[at + 1:at + 4] == ["     degree_sum = 4", "     det_exponent = 2",
+                                        "     holds = False"]
+        assert run([*argv, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == REFUTED
+        checks = [s["values"] for s in payload["steps"] if "holds" in s["values"]]
+        assert checks == [{"degree_sum": "4", "det_exponent": "2", "holds": False}]
 
 
 def test_split_text_output(capsys):
@@ -684,10 +716,17 @@ def test_table_json(capsys):
     code = run([*argv, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    *rows, table = payload["steps"]
+    *steps, table = payload["steps"]
+    rows = [s for s in steps if "l" in s["values"]]
     assert [s["values"]["l"] for s in rows] == ["1", "2", "3"]
     assert rows[1]["values"]["left"] == ["1", "1"]
     assert rows[1]["values"]["right"] == ["2", "0"]
+    # each row checks its class's degree against both splittings, and each
+    # splitting against its determinant: three checks a row, all holding
+    assert len(steps) == 3 * len(rows) and all(s["values"]["holds"] is True for s in steps)
+    assert steps[4]["description"] == ("the degrees of the left splitting of O(2) "
+                                       "sum to its determinant's exponent")
+    assert steps[4]["values"] == {"degree_sum": "2", "det_exponent": "2", "holds": True}
     # the last step holds the table text mode prints
     assert run(argv) == 0
     assert capsys.readouterr().out == table["values"]["rendered"] + "\n"
@@ -708,38 +747,58 @@ def test_exit_code_is_function_of_verdict(capsys):
 
 
 def _report_from_payload(payload):
-    steps = [Step(s["description"], s["values"]) for s in payload["steps"]]
-    return Report(payload["claim"], payload["params"], payload["verdict"], steps)
+    """The report a JSON payload was emitted from: a step whose values say
+    whether it holds is a check."""
+    steps = []
+    for s in payload["steps"]:
+        values = dict(s["values"])
+        holds = values.pop("holds", None)
+        steps.append(Step(s["description"], values) if holds is None
+                     else Check(s["description"], values, holds))
+    return Report(payload["claim"], payload["params"], steps)
 
 
 def test_json_report_round_trip():
-    report = Report(
-        "demo",
-        {"N": 3, "l": 2},
-        VERIFIED,
-        [
-            Step("values survive", {"big": binom(70, 35), "list": [1, -2], "half": Fraction(1, 2)}),
-            Step("flags survive", {"ok": True, "note": "text stays text"}),
-        ],
-    )
-    payload = json.loads(emit_json(report))
-    assert payload["claim"] == report.claim
-    assert payload["verdict"] == report.verdict
-    assert payload["params"] == {"N": "3", "l": "2"}
-    values = payload["steps"][0]["values"]
-    assert values["big"] == str(binom(70, 35))
-    assert values["list"] == ["1", "-2"]
-    assert values["half"] == "1/2"
-    assert payload["steps"][1]["values"] == {"ok": True, "note": "text stays text"}
-    # the text renderer prints the decimal strings as it prints the numbers
-    assert _render_report(_report_from_payload(payload)) == _render_report(report)
+    for holds, verdict in ((True, VERIFIED), (False, REFUTED)):
+        report = Report(
+            "demo",
+            {"N": 3, "l": 2},
+            [
+                Step("values survive", {"big": binom(70, 35), "list": [1, -2],
+                                        "half": Fraction(1, 2)}),
+                Step("flags survive", {"ok": True, "note": "text stays text"}),
+                Check("checks survive", {"left": 1, "right": 1 if holds else 2}, holds),
+            ],
+        )
+        payload = json.loads(emit_json(report))
+        assert payload["claim"] == report.claim
+        assert payload["verdict"] == report.verdict == verdict
+        assert payload["params"] == {"N": "3", "l": "2"}
+        values = payload["steps"][0]["values"]
+        assert values["big"] == str(binom(70, 35))
+        assert values["list"] == ["1", "-2"]
+        assert values["half"] == "1/2"
+        assert payload["steps"][1]["values"] == {"ok": True, "note": "text stays text"}
+        assert payload["steps"][2]["values"]["holds"] is holds
+        # the text renderer prints the decimal strings as it prints the
+        # numbers, and the rebuilt checks give the same verdict
+        rebuilt = _report_from_payload(payload)
+        assert rebuilt.verdict == verdict
+        assert _render_report(rebuilt) == _render_report(report)
 
 
 def test_report_is_a_checked_immutable_value():
-    with pytest.raises(ValueError):
-        Report("demo", {}, "bogus", [])
-    report = Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
-    assert report == Report("demo", {"N": 1}, VERIFIED, [Step("s", {"x": 1})])
+    # a verdict is read from the checks and cannot be passed in
+    with pytest.raises(TypeError):
+        Report("demo", {}, VERIFIED, [])
+    holds, fails = Check("c", {"a": 1, "b": 1}, True), Check("c", {"a": 1, "b": 2}, False)
+    assert Report("demo", {}, []).verdict == INAPPLICABLE
+    assert Report("demo", {}, [Step("s", {"x": 1})]).verdict == INAPPLICABLE
+    assert Report("demo", {}, [Step("s", {"x": 1}), holds]).verdict == VERIFIED
+    assert Report("demo", {}, [holds, fails, holds]).verdict == REFUTED
+    report = Report("demo", {"N": 1}, [Step("s", {"x": 1}), holds])
+    assert report == Report("demo", {"N": 1}, [Step("s", {"x": 1}), holds])
+    assert report != Report("demo", {"N": 1}, [Step("s", {"x": 1}), fails])
     with pytest.raises(AttributeError, match="Report is immutable"):
         report.verdict = REFUTED
 
@@ -766,7 +825,7 @@ def test_import_loads_jetk_without_heavy_stdlib_modules():
 
 def test_json_preserves_arbitrary_precision():
     value = binom(70, 35)
-    report = Report("precision", {}, VERIFIED, [Step("huge", {"value": value})])
+    report = Report("precision", {}, [Step("huge", {"value": value})])
     payload = json.loads(emit_json(report))
     assert payload["steps"][0]["values"]["value"] == str(value)
     assert int(payload["steps"][0]["values"]["value"]) == value
@@ -818,7 +877,12 @@ def test_golden_verify_atiyah_json(capsys):
         "class_zero": False,
         "splittings_equal": False,
         "equivalence_holds": True,
+        "holds": True,
     }
+    # each splitting is checked against its determinant, J^1(O(1)) has det u^0
+    for side in ("left", "right"):
+        check = values[f"the degrees of the {side} splitting sum to its determinant's exponent"]
+        assert check == {"degree_sum": "0", "det_exponent": "0", "holds": True}
 
 
 def test_public_names_resolve():
@@ -830,6 +894,6 @@ def test_public_names_resolve():
         "parse", "evaluate", "print_expr", "ParseError", "RangeError", "TruncPoly",
         "verify_ktheory_equality", "prove_non_isomorphic", "verify_corr_p1",
         "jet_transition", "matrix_from_text", "birkhoff_split", "splitting_via_h0",
-        "SplittingType", "LaurentMatrix", "Report", "Step",
+        "SplittingType", "LaurentMatrix", "Report", "Step", "Check",
         "VERIFIED", "REFUTED", "INAPPLICABLE",
     ])

@@ -11,14 +11,14 @@ from jetk.kring import (
     MAX_WORK,
     Budget,
     class_of_twist,
-    cohomology_dim,
+    euler_characteristic,
     sum_to_class,
     sym_omega,
     sym_power,
     wedge_power,
 )
 
-from helpers import degree, inverse
+from helpers import cohomology_dim, degree, inverse
 
 
 def _one_minus_t_power(N, d):
@@ -200,7 +200,7 @@ def test_powers_of_virtual_sums_obey_addition_formula():
         a, b = _random_sum(rng, -3), _random_sum(rng, -3)
         for k in range(0, 5):
             for power in (sym_power, wedge_power):
-                expected = LaurentPoly.zero()
+                expected = LaurentPoly()
                 for i in range(k + 1):
                     expected = expected + power(a, i) * power(b, k - i)
                 assert power(a + b, k) == expected
@@ -299,3 +299,7 @@ def test_euler_characteristic_is_binomial():
         for d in range(-12, 13):
             chi = sum((-1) ** i * cohomology_dim(N, d, i) for i in range(N + 1))
             assert chi == binom(N + d, N)
+            # kring's chi of the twist and of its class agree with the oracle
+            twist = LaurentPoly.monomial(d)
+            assert euler_characteristic(twist, N) == chi
+            assert euler_characteristic(class_of_twist(N, d), N) == chi

@@ -62,12 +62,29 @@ def _splitting_moves_a_unit(monkeypatch):
     monkeypatch.setattr(p1lab, "birkhoff_split", mutant)
 
 
-# The commands that exit 1 under each mutant, by subcommand and claim.
+def _splitting_raises_a_degree(monkeypatch):
+    """birkhoff_split adds 1 to its highest degree."""
+    original = p1lab.birkhoff_split
+
+    def mutant(m, *rest):
+        degrees = list(original(m, *rest).degrees)  # descending
+        degrees[0] += 1
+        return SplittingType(degrees)
+
+    monkeypatch.setattr(p1lab, "birkhoff_split", mutant)
+
+
+# The commands that exit 1 under each mutant, by subcommand and claim.  kclass
+# compares chi of the class with chi of its twist sum, which the t^N mutant
+# moves by the multiplicity sum (nonzero in both README sums); each table row
+# compares its class's degree with both splittings' degree sums; every
+# splitting shown is checked against its determinant's exponent.
 REFUTED_BY = {
     _twice_the_twist: {"verify mainsplit", "verify ktheory"},
-    _top_coefficient_off: {"verify ktheory"},
+    _top_coefficient_off: {"verify ktheory", "kclass", "table"},
     _series_adds_a_trivial_summand: {"verify ktheory"},
     _splitting_moves_a_unit: set(),
+    _splitting_raises_a_degree: {"split", "birkhoff", "table", "verify atiyah"},
 }
 
 

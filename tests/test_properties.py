@@ -2,11 +2,12 @@
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetk import kring
-from jetk.exact_arith import TruncPoly
+from jetk.exact_arith import LaurentPoly, TruncPoly
 from jetk.sheafdsl import (
     Dual,
     Jet,
@@ -20,6 +21,8 @@ from jetk.sheafdsl import (
     parse,
     print_expr,
 )
+
+from test_mutants import _top_coefficient_off
 
 # The same examples on every run, and no example database left behind.
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -71,3 +74,22 @@ def test_twist_sums_stay_integral(e, N):
         evaluate(e, N)
     s = to_class.call_args.args[0]
     assert all(type(c) is int for _, c in s.items())
+
+
+# Virtual sums of twists: degrees on both sides of the band -N..-1 where
+# chi(O(d)) vanishes, for every N <= 6.
+virtual_sums = st.dictionaries(st.integers(-12, 12), st.integers(-3, 3),
+                               max_size=5).map(LaurentPoly)
+
+
+@FIXED
+@given(virtual_sums, st.integers(1, 6))
+def test_chi_of_the_class_is_chi_of_the_twist_sum(s, N):
+    chi = kring.euler_characteristic
+    assert chi(kring.sum_to_class(s, N), N) == chi(s, N)
+    # a sum_to_class that adds the multiplicity sum to t^N moves the class's
+    # chi by that sum: the comparison fails exactly when it is nonzero
+    with pytest.MonkeyPatch.context() as patch:
+        _top_coefficient_off(patch)
+        off = chi(kring.sum_to_class(s, N), N) - chi(s, N)
+    assert off == sum(m for _, m in s.items())
