@@ -153,6 +153,9 @@ class TruncPoly(Record):
     def __str__(self):
         return _render(enumerate(self.coeffs), "t", "")
 
+    def __repr__(self):
+        return f"TruncPoly({self.modulus_exponent}, {self.coeffs})"
+
 
 def _render(terms, var: str, times: str) -> str:
     """A sum of (exponent, coefficient) terms in the given order, zeros
@@ -188,6 +191,10 @@ class LaurentPoly(Record):
                 if c != 0:
                     clean[operator.index(e)] = c
         object.__setattr__(self, "_coeffs", clean)
+
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls()
 
     @classmethod
     def monomial(cls, exponent: int, coefficient=1) -> "LaurentPoly":

@@ -128,20 +128,17 @@ def sum_to_class(s: LaurentPoly, N: int, budget: Budget | None = None) -> TruncP
     return TruncPoly(N + 1, coeffs)
 
 
-def euler_characteristic(x, N: int, budget: Budget | None = None) -> int:
-    """chi on P^N of a class: its coefficient sum, as t^i is the class of a
-    linear P^(N-i).  Or of a twist sum: sum_d m_d binom(N+d, N), that is
+def euler_characteristic(s: LaurentPoly, N: int, budget: Budget) -> int:
+    """chi on P^N of a twist sum: sum_d m_d binom(N+d, N), that is
     binom(n, N) for n = N+d >= N, 0 for -N <= d < 0, and (-1)^N binom(n, N)
     for n = -d-1 >= N.  By increasing n each comes from the last by the
     ratio binom(j, N) = binom(j-1, N) * j/(j-N), or from math.comb past a
     gap of N: steps charged first, as sum_to_class's are, to `budget`."""
-    if isinstance(x, TruncPoly):
-        return sum(x.coeffs)
     terms = sorted((N + d, m) if d >= 0 else (-d - 1, (-1) ** N * m)
-                   for d, m in x.items() if not -N <= d < 0)
+                   for d, m in s.items() if not -N <= d < 0)
     steps = sum(min(n - last, N) for (n, _), last in zip(terms, [N, *(n for n, _ in terms)]))
-    (budget or Budget()).spend(_ratio_work(extent(x), N, steps),
-                               f"chi on P^{N} of a twist sum of length {len(x.items())}")
+    budget.spend(_ratio_work(extent(s), N, steps),
+                 f"chi on P^{N} of a twist sum of length {len(s.items())}")
     chi, last, b = 0, N, 1  # b = binom(last, N)
     for n, m in terms:
         if n - last > N:

@@ -190,7 +190,7 @@ def _det(rows, budget: Budget, sizes: dict) -> LaurentPoly:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly()
+    total = LaurentPoly.zero()
     sign = 1
     for j in range(n):
         if not rows[0][j].is_zero():
@@ -321,7 +321,7 @@ def birkhoff_split(m: LaurentMatrix, budget: Budget | None = None) -> SplittingT
         budget.spend((REDUCTION_WORK + product_work(bits, bits))
                      * sum(len(e.items()) for row in rows for e in row))
         target = max(support, key=lambda i: (degs[i], -i))
-        new_row = [LaurentPoly() for _ in range(r)]
+        new_row = [LaurentPoly.zero() for _ in range(r)]
         for i in support:
             shift = degs[target] - degs[i]
             for j in range(r):
@@ -460,21 +460,38 @@ def verify_corr_p1(l: int) -> Report:
     right_split = birkhoff_split(right_matrix, budget)
     class_zero = a_class == 0
     splittings_equal = left_split == right_split
-    equivalence = class_zero == splittings_equal
     steps = [
-        Step("Atiyah class as the residue of dlog(u^l)", {"l": l, "residue": a_class}),
-        Step("left jet transition in (value, derivative) coordinates and its Birkhoff splitting",
-             {"matrix": [e for row in left_matrix.rows() for e in row],
-              "splitting": list(left_split.degrees)}),
+        Step(
+            "Atiyah class as the residue of dlog(u^l)",
+            {"l": l, "residue": a_class},
+        ),
+        Step(
+            "left jet transition in (value, derivative) coordinates "
+            "and its Birkhoff splitting",
+            {
+                "matrix": [e for row in left_matrix.rows() for e in row],
+                "splitting": list(left_split.degrees),
+            },
+        ),
         determinant_check(left_matrix, left_split, "the left splitting"),
-        Step("right jet transition, block diagonal in the frame adapted to "
-             "the right splitting (the naive jet frame differs by a "
-             "unimodular change, invisible to the splitting)",
-             {"matrix": [e for row in right_matrix.rows() for e in row],
-              "splitting": list(right_split.degrees)}),
+        Step(
+            "right jet transition, block diagonal in the frame adapted to "
+            "the right splitting (the naive jet frame differs by a "
+            "unimodular change, invisible to the splitting)",
+            {
+                "matrix": [e for row in right_matrix.rows() for e in row],
+                "splitting": list(right_split.degrees),
+            },
+        ),
         determinant_check(right_matrix, right_split, "the right splitting"),
-        Check("class vanishes iff the splittings agree",
-              {"class_zero": class_zero, "splittings_equal": splittings_equal,
-               "equivalence_holds": equivalence}, equivalence),
+        Check(
+            "class vanishes iff the splittings agree",
+            {
+                "class_zero": class_zero,
+                "splittings_equal": splittings_equal,
+                "equivalence_holds": class_zero == splittings_equal,
+            },
+            class_zero == splittings_equal,
+        ),
     ]
     return Report("atiyah-class-detects-structures", {"l": l}, steps)

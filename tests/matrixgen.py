@@ -34,7 +34,7 @@ def matmul(*factors):
         out = LaurentMatrix(
             [
                 [
-                    sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly())
+                    sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
                     for j in range(n)
                 ]
                 for i in range(n)
@@ -50,7 +50,7 @@ def random_unimodular(rng, size, var_sign, max_factors=5):
         kind = rng.choice(["add", "swap", "scale"])
         rows = [
             [
-                LaurentPoly.monomial(0) if i == j else LaurentPoly()
+                LaurentPoly.monomial(0) if i == j else LaurentPoly.zero()
                 for j in range(size)
             ]
             for i in range(size)
@@ -60,7 +60,7 @@ def random_unimodular(rng, size, var_sign, max_factors=5):
             rows[i][j] = random_poly(rng, var_sign)
         elif kind == "swap":
             i, j = rng.sample(range(size), 2)
-            rows[i][i] = rows[j][j] = LaurentPoly()
+            rows[i][i] = rows[j][j] = LaurentPoly.zero()
             rows[i][j] = rows[j][i] = LaurentPoly.monomial(0)
         else:
             i = rng.randrange(size)

@@ -44,6 +44,24 @@ def test_kclass_json_output(capsys):
     assert payload["steps"][0]["values"] == {"class": "0", "twist_sum": "0", "holds": True}
 
 
+def test_kclass_chi_past_the_digit_limit_shows_the_difference(capsys):
+    # on P^1 the class of O(d) is 1 + d t: with d all nines at the digit limit
+    # both coefficients print, and chi = 10^limit has one digit too many
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        expr = "O(" + "9" * 4300 + ")"
+        assert run(["kclass", "-N", "1", "--json", expr]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "verified"
+        assert payload["steps"][0]["values"] == {"difference": "0", "holds": True}
+        assert payload["steps"][-1]["values"]["coefficients"] == ["1", "9" * 4300]
+        assert run(["kclass", "-N", "1", expr]) == 0
+        assert capsys.readouterr().out == f"1 + {'9' * 4300}t\n"
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_kclass_bad_expression_exits_2(capsys):
     code = run(["kclass", "-N", "1", "O(2) + + O(1)"])
     err = capsys.readouterr().err

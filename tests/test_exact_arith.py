@@ -194,7 +194,7 @@ def test_laurent_exponent_shift():
 
 def test_laurent_additive_identity():
     a = laurent_from_string("3*u^-2 + 1 - 1/2*u^3")
-    assert a + LaurentPoly() == a
+    assert a + LaurentPoly.zero() == a
 
 
 def test_laurent_difference_of_squares():
@@ -204,7 +204,7 @@ def test_laurent_difference_of_squares():
 def test_laurent_zero_pruned():
     assert (u(3) - u(3)).is_zero()
     assert LaurentPoly({5: 0}).is_zero()
-    assert LaurentPoly().min_degree is None
+    assert LaurentPoly.zero().min_degree is None
     # coefficients are kept as given, and only exact ones are accepted
     assert type(LaurentPoly({1: 2}).coefficient(1)) is int
     assert type(LaurentPoly({1: Fraction(2)}).coefficient(1)) is Fraction

@@ -204,9 +204,16 @@ def test_non_isomorphism_certified_for_positive_twists():
     assert hom_step["hom_dim"] == 0
 
 
-def test_non_isomorphism_refuted_for_structure_sheaf():
+def test_non_isomorphism_refuted_for_structure_sheaf(monkeypatch):
     report = prove_non_isomorphic(2, 0)
     assert report.verdict == REFUTED
+    assert step_values(report, "J^1(O)") == {"atiyah_class_vanishes": True, "c1": 0}
+    # c1 is read from the class of O(l): one that gives [O(d+1)] makes it 1
+    real = jetcalc.class_of_twist
+    monkeypatch.setattr(jetcalc, "class_of_twist", lambda N, d, *budget: real(N, d + 1, *budget))
+    report = prove_non_isomorphic(2, 0)
+    assert step_values(report, "J^1(O)") == {"atiyah_class_vanishes": False, "c1": 1}
+    assert report.verdict == VERIFIED
 
 
 def test_non_isomorphism_inapplicable_for_negative_twists():

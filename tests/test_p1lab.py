@@ -86,7 +86,7 @@ def test_birkhoff_of_diagonal():
 
 
 def test_birkhoff_of_unipotent_over_inverse_ring():
-    m = LaurentMatrix([[u(0), u(-3)], [LaurentPoly(), u(0)]])
+    m = LaurentMatrix([[u(0), u(-3)], [LaurentPoly.zero(), u(0)]])
     assert birkhoff_split(m) == SplittingType((0, 0))
 
 
@@ -96,7 +96,7 @@ def test_birkhoff_of_jet_transitions():
 
 
 def test_birkhoff_rejects_non_monomial_determinant():
-    m = LaurentMatrix([[u(0), LaurentPoly()], [LaurentPoly(), u(0) + u(1)]])
+    m = LaurentMatrix([[u(0), LaurentPoly.zero()], [LaurentPoly.zero(), u(0) + u(1)]])
     with pytest.raises(NotATransitionError, match="transition"):
         birkhoff_split(m)
     singular = LaurentMatrix([[u(1), u(1)], [u(1), u(1)]])
@@ -136,7 +136,7 @@ def test_birkhoff_invariance_under_unimodular_factors(seed, rank):
 def _long_entry(n):
     """[[1, u + u^2 + ... + u^n], [0, 1]]: a reduction of n steps of up to n terms."""
     return LaurentMatrix([[u(0), LaurentPoly(dict.fromkeys(range(1, n + 1), 1))],
-                          [LaurentPoly(), u(0)]])
+                          [LaurentPoly.zero(), u(0)]])
 
 
 def _unitriangular(rng, r, lower):
@@ -197,7 +197,7 @@ def _elementary_product(rng, count, digits):
     factors = []
     for k in range(count):
         e = u(1, rng.randint(10 ** (digits - 1), 10 ** digits - 1))
-        zero, one = LaurentPoly(), u(0)
+        zero, one = LaurentPoly.zero(), u(0)
         factors.append(LaurentMatrix([[one, e], [zero, one]] if k % 2 else [[one, zero], [e, one]]))
     return matmul(*factors)
 
@@ -304,13 +304,13 @@ def test_section_count_scan_spends_one_budget(monkeypatch):
     assert charges[0] == 2 * 4 * 8 and set(charges[1:]) == {p1lab.ELIMINATION_WORK * 8}
     # an entry u^-600 gives each count about 1,200 unknowns; the scan stops
     # at the last degree, two counts in, within the budget
-    wide = LaurentMatrix([[u(0), u(-600)], [LaurentPoly(), u(0)]])
+    wide = LaurentMatrix([[u(0), u(-600)], [LaurentPoly.zero(), u(0)]])
     assert splitting_via_h0(wide) == SplittingType((0, 0))
     assert _RecordedBudget.last.spent <= MAX_WORK
     # at u^-1500 the first count's reads alone are over it: refused in the
     # same step, before any elimination
     monkeypatch.setattr(p1lab, "_eliminate", lambda *args: pytest.fail("eliminated"))
-    wider = LaurentMatrix([[u(0), u(-1500)], [LaurentPoly(), u(0)]])
+    wider = LaurentMatrix([[u(0), u(-1500)], [LaurentPoly.zero(), u(0)]])
     with pytest.raises(ValueError, match="^the section count of a twist of a rank-2 matrix needs at least"):
         splitting_via_h0(wider)
 
@@ -335,7 +335,7 @@ def test_primitive_rows_are_built_once_and_budgeted(monkeypatch):
     # terms of 300 digits), while the lcm's size charge refuses it at once,
     # in the step that asked for the rows
     f = LaurentPoly({i: Fraction(1, rng.randrange(10**99, 10**100)) for i in range(300)})
-    unit = LaurentMatrix([[u(0), f], [LaurentPoly(), u(0)]])
+    unit = LaurentMatrix([[u(0), f], [LaurentPoly.zero(), u(0)]])
     for split, step in ((birkhoff_split, "the Birkhoff reduction"),
                         (splitting_via_h0, "the section count of a twist")):
         with pytest.raises(ValueError, match=f"^{step} of a rank-2 matrix needs at least"):
@@ -343,7 +343,7 @@ def test_primitive_rows_are_built_once_and_budgeted(monkeypatch):
     # and a matrix that is no transition never has its rows scaled
     calls.clear()
     with pytest.raises(NotATransitionError):
-        birkhoff_split(LaurentMatrix([[f, u(0)], [LaurentPoly(), u(0)]]))
+        birkhoff_split(LaurentMatrix([[f, u(0)], [LaurentPoly.zero(), u(0)]]))
     assert calls == []
 
 
@@ -381,7 +381,7 @@ def test_splitting_via_h0_examples():
 
 
 def test_section_oracles_require_unit_determinant():
-    bad = LaurentMatrix([[u(0) + u(1), LaurentPoly()], [LaurentPoly(), u(0)]])
+    bad = LaurentMatrix([[u(0) + u(1), LaurentPoly.zero()], [LaurentPoly.zero(), u(0)]])
     with pytest.raises(NotATransitionError):
         h0_count(bad, 0)
     with pytest.raises(NotATransitionError):
@@ -670,9 +670,9 @@ def test_twisted_section_counts_match_the_twisted_matrix(rng, size, k):
 def test_non_monomial_determinant_is_never_remembered(expansions, tmp_path, capsys):
     bad = LaurentMatrix(
         [
-            [u(1), u(0), LaurentPoly()],
+            [u(1), u(0), LaurentPoly.zero()],
             [u(0), u(0), u(2)],
-            [LaurentPoly(), u(0), u(1)],
+            [LaurentPoly.zero(), u(0), u(1)],
         ]
     )  # determinant -u^3 + u^2 - u
     for check in (LaurentMatrix.det_monomial, birkhoff_split, lambda m: h0_count(m, 0),
